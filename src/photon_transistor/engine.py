@@ -30,6 +30,7 @@ and identical for serial and parallel runs.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -397,14 +398,27 @@ def _run_range(args) -> list[ShotRecord]:
     return [run_shot(config, i, scratch) for i in range(start, stop)]
 
 
+def bound_workers(requested: int, n_tasks: int, cpus: int | None = None) -> int:
+    """Pool size for ``requested`` workers: at most the CPUs this process
+    may run on (``cpus``, detected when None) and ``n_tasks``, at least 1."""
+    if cpus is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # not available on every platform
+            cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus, n_tasks))
+
+
 def run_experiment(config: RunConfig, workers: int = 1) -> list[ShotRecord]:
     """All shots of one configuration.  ``workers`` > 1 distributes shots
-    over processes; the per-shot substreams make the result identical to
-    the serial run."""
+    over a process pool of at most ``bound_workers`` processes; the
+    per-shot substreams make the result identical to the serial run."""
     n = config.n_shots
     if workers <= 1:
         scratch = _shot_scratch()
         return [run_shot(config, i, scratch) for i in range(n)]
+    # with workers <= n, the chunking below makes at least `workers` chunks
+    workers = bound_workers(workers, n)
     chunk = max(1, math.ceil(n / (workers * 4)))
     ranges = [(config, s, min(s + chunk, n)) for s in range(0, n, chunk)]
     records: list[ShotRecord | None] = [None] * n

@@ -102,22 +102,6 @@ def _analyze_fig2(points, runs):
     return header, rows, summary, {}
 
 
-def _bootstrap_extinction_factor(records, resamples=400, seed=11):
-    stored = np.array([r.n_stored for r in records])
-    counts = np.array([r.detected_source for r in records], dtype=float)
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(resamples):
-        idx = rng.integers(0, counts.size, size=counts.size)
-        hi = stored[idx] == 0
-        if not hi.any() or hi.all():
-            continue
-        lo_mean = counts[idx][~hi].mean()
-        if lo_mean > 0:
-            out.append(counts[idx][hi].mean() / lo_mean)
-    return np.array(out) if out else None
-
-
 def _analyze_fig3(points, runs):
     groups = {p.meta["detuning_mhz"]: records for p, records in zip(points, runs)}
     hist = stats.build_histogram(groups)
@@ -125,12 +109,7 @@ def _analyze_fig3(points, runs):
     resonant = groups[0.0]
     p1, p1_err = stats.single_excitation_fraction(resonant)
     factor = hist.extinction_factor[col]
-    boots = _bootstrap_extinction_factor(resonant)
-    if boots is not None and boots.size:
-        f_lo, f_hi = np.percentile(boots, [2.5, 97.5])
-        f_errs = (max(factor - f_lo, 0.0), max(f_hi - factor, 0.0))
-    else:
-        f_errs = (0.0, 0.0)
+    f_low, f_high, _ = stats.extinction_factor_errors(resonant, factor)
     rows = []
     for i, d in enumerate(hist.detunings):
         counts = np.array([r.detected_source for r in groups[d]], dtype=float)
@@ -138,7 +117,7 @@ def _analyze_fig3(points, runs):
                      float(counts.std(ddof=1) / math.sqrt(counts.size)),
                      hist.high_mean[i], hist.low_mean[i], hist.extinction_factor[i]])
     summary = {
-        "extinction_factor": _entry(factor, *f_errs),
+        "extinction_factor": _entry(factor, f_low, f_high),
         "threshold_extinction_factor": _entry(hist.threshold_extinction_factor[col]),
         "p_single_given_present": _entry(p1, p1_err, p1_err),
         "high_component_mean": _entry(hist.high_mean[col]),

@@ -5,9 +5,12 @@ cross-correlation, each with uncertainties.
 
 Uncertainties are bootstrap percentile intervals (1000 resamples by
 default) except for spectra, which carry plain standard errors of the
-mean.  Component splits can use the simulation ground truth (stored
-excitation number) or a threshold on the detected counts, mirroring how
-a real bimodal histogram is cut.
+mean.  ``bootstrap_sums`` draws every bootstrap as multinomial counts over
+the distinct per-shot rows; replicates are ratios of the resampled sums
+(point estimates never are), and a replicate left undefined takes the
+point estimate and is counted in ``fallbacks``.  Component splits can use
+the simulation ground truth (stored excitation number) or a threshold on
+the detected counts, mirroring how a real bimodal histogram is cut.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from scipy.optimize import curve_fit
 from .engine import ShotRecord
 
 DEFAULT_RESAMPLES = 1000
+_BOOTSTRAP_BLOCK = 1 << 18
 
 
 class FitError(RuntimeError):
@@ -39,9 +43,21 @@ def _detected(records: Sequence[ShotRecord]) -> np.ndarray:
     return _col(records, "detected_source")
 
 
-def _bootstrap(rng: np.random.Generator, n: int, resamples: int):
-    for _ in range(resamples):
-        yield rng.integers(0, n, size=n)
+def bootstrap_sums(columns, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """Column sums of ``resamples`` bootstrap resamples of the rows of
+    ``columns`` (shape (n_shots, k)), shape (resamples, k).  Resampling
+    with replacement draws each distinct row a multinomial number of
+    times, so counts are drawn over the distinct rows only; blocks of at
+    most ``_BOOTSTRAP_BLOCK`` counts bound memory without changing them."""
+    cols = np.ascontiguousarray(columns, dtype=float)
+    n, k = cols.shape
+    # rows compared as raw bytes: a 1-d sort, ~8x faster than unique(axis=0)
+    keys, freq = np.unique(cols.view(f"V{8 * k}").ravel(), return_counts=True)
+    rows = keys.view(float).reshape(-1, k)
+    block = max(1, _BOOTSTRAP_BLOCK // len(rows))
+    return np.concatenate([
+        rng.multinomial(n, freq / n, size=min(block, resamples - start)) @ rows
+        for start in range(0, resamples, block)])
 
 
 def _percentile_errors(samples: np.ndarray, center: float) -> tuple[float, float]:
@@ -223,6 +239,24 @@ def build_histogram(groups: Mapping[float, Sequence[ShotRecord]],
     )
 
 
+def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
+                             resamples: int = 400,
+                             seed: int = 11) -> tuple[float, float, int]:
+    """Bootstrap percentile errors of ``factor``, the ground-truth extinction
+    factor of ``records``, as (err_low, err_high, skipped).  Replicates with
+    an empty component or a dark low component are skipped."""
+    hi = _col(records, "n_stored") == 0
+    counts = _detected(records)
+    n_hi, n_lo, c_hi, c_lo = bootstrap_sums(
+        np.column_stack([hi, ~hi, hi * counts, ~hi * counts]),
+        resamples, np.random.default_rng(seed)).T
+    kept = (n_hi > 0) & (n_lo > 0) & (c_lo > 0)
+    if not kept.any():
+        return 0.0, 0.0, resamples
+    ratios = (c_hi[kept] / n_hi[kept]) / (c_lo[kept] / n_lo[kept])
+    return (*_percentile_errors(ratios, factor), resamples - int(kept.sum()))
+
+
 def single_excitation_fraction(records: Sequence[ShotRecord]) -> tuple[float, float]:
     """P(n_stored = 1 | n_stored >= 1) with its binomial standard error."""
     stored = _col(records, "n_stored")
@@ -246,6 +280,7 @@ class GainEstimate:
     outside_err_low: float
     outside_err_high: float
     source_strength: float
+    fallbacks: int = 0
 
     def __post_init__(self):
         if self.g > self.source_strength + 1e-9:
@@ -277,25 +312,21 @@ def gain(records: Sequence[ShotRecord], labels: str = "truth",
     if not hi.any() or not lo.any():
         raise ValueError("both histogram components must be populated")
 
-    def estimate(sel_hi, sel_lo):
-        return (float(np.mean(m_in[sel_hi])) - float(np.mean(m_in[sel_lo])),
-                float(np.mean(m_out[sel_hi])) - float(np.mean(m_out[sel_lo])))
-
-    g_in, g_out = estimate(hi, lo)
-    rng = np.random.default_rng(seed)
-    boots = np.empty((resamples, 2))
-    n = len(records)
-    for b, idx in enumerate(_bootstrap(rng, n, resamples)):
-        bh = hi[idx]
-        if not bh.any() or bh.all():
-            boots[b] = (g_in, g_out)
-            continue
-        boots[b] = (float(np.mean(m_in[idx][bh])) - float(np.mean(m_in[idx][~bh])),
-                    float(np.mean(m_out[idx][bh])) - float(np.mean(m_out[idx][~bh])))
+    g_in = float(np.mean(m_in[hi])) - float(np.mean(m_in[lo]))
+    g_out = float(np.mean(m_out[hi])) - float(np.mean(m_out[lo]))
+    n_hi, n_lo, in_hi, in_lo, out_hi, out_lo = bootstrap_sums(
+        np.column_stack([hi, lo, hi * m_in, lo * m_in, hi * m_out, lo * m_out]),
+        resamples, np.random.default_rng(seed)).T
+    failed = (n_hi == 0) | (n_lo == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        boots = np.column_stack([in_hi / n_hi - in_lo / n_lo,
+                                 out_hi / n_hi - out_lo / n_lo])
+    boots[failed] = (g_in, g_out)
     el, eh = _percentile_errors(boots[:, 0], g_in)
     ol, oh = _percentile_errors(boots[:, 1], g_out)
     return GainEstimate(g_in, el, eh, g_out, ol, oh,
-                        source_strength=float(np.mean(m_in[hi])))
+                        source_strength=float(np.mean(m_in[hi])),
+                        fallbacks=int(failed.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +345,7 @@ class RetrievalCurve:
     m_s0_outside_err_high: float
     amplitude: float
     residual_rms: float
+    fallbacks: int = 0
 
 
 def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
@@ -332,29 +364,21 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
     if len(point_records) < 3:
         raise ValueError("need at least 3 source-strength points")
 
-    arrays = []
+    rng = np.random.default_rng(seed)
+    points, sums = [], []
     for records in point_records:
-        stored = _col(records, "n_stored")
-        if not (stored == 0).any():
-            raise ValueError("point has no zero-excitation shots to measure strength")
-        arrays.append((stored, _col(records, "retrieved"),
-                       _col(records, "source_transmitted_intracavity"),
-                       _col(records, "source_transmitted_outside")))
-
-    def point_stats(stored, retr, m_in, m_out, idx=None):
-        if idx is not None:
-            stored, retr, m_in, m_out = stored[idx], retr[idx], m_in[idx], m_out[idx]
+        stored, retr, p_in, p_out = (_col(records, name) for name in (
+            "n_stored", "retrieved", "source_transmitted_intracavity",
+            "source_transmitted_outside"))
         empty = stored == 0
         if not empty.any():
-            raise ValueError("no zero-excitation shots in resample")
-        sel = stored == 1 if condition_single else slice(None)
-        return (float(np.mean(m_in[empty])), float(np.mean(m_out[empty])),
-                float(np.mean(retr[sel])))
-
-    stats = [point_stats(*arr) for arr in arrays]
-    xs_in = np.array([s[0] for s in stats])
-    xs_out = np.array([s[1] for s in stats])
-    raw = np.array([s[2] for s in stats])
+            raise ValueError("point has no zero-excitation shots to measure strength")
+        sel = stored == 1 if condition_single else np.ones_like(empty)
+        points.append((float(np.mean(p_in[empty])), float(np.mean(p_out[empty])),
+                       float(np.mean(retr[sel]))))
+        sums.append(bootstrap_sums(np.column_stack(
+            [empty, empty * p_in, empty * p_out, sel, sel * retr]), resamples, rng))
+    xs_in, xs_out, raw = np.array(points).T
     ref = int(np.argmin(xs_in))
     if raw[ref] <= 0:
         raise ValueError("zero retrieval at the reference point")
@@ -372,24 +396,20 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
     if not (np.isfinite(m_in) and m_in > 0):
         raise FitError("retrieval decay fit failed: non-decreasing data")
 
-    rng = np.random.default_rng(seed)
-    boots = np.empty((resamples, 2))
-    for b in range(resamples):
+    sums = np.stack(sums, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bx = sums[..., 1] / sums[..., 0]
+        bo = sums[..., 2] / sums[..., 0]
+        br = sums[..., 4] / sums[..., 3]
+    r0 = br[np.arange(resamples), np.argmin(bx, axis=1)]
+    defined = (sums[..., 0] > 0).all(axis=1) & (sums[..., 3] > 0).all(axis=1) & (r0 > 0)
+    boots = np.tile((m_in, m_out), (resamples, 1))
+    fallbacks = resamples - int(defined.sum())
+    for b in np.flatnonzero(defined):
         try:
-            bs = []
-            for arr in arrays:
-                idx = rng.integers(0, arr[0].size, size=arr[0].size)
-                bs.append(point_stats(*arr, idx=idx))
-            bx = np.array([s[0] for s in bs])
-            bo = np.array([s[1] for s in bs])
-            br = np.array([s[2] for s in bs])
-            r0 = br[int(np.argmin(bx))]
-            if r0 <= 0:
-                raise RuntimeError("empty reference")
-            bm_in, bm_out, _, _ = fit_both(bx, bo, br / r0)
-            boots[b] = (bm_in, bm_out)
+            boots[b] = fit_both(bx[b], bo[b], br[b] / r0[b])[:2]
         except (RuntimeError, ValueError):
-            boots[b] = (m_in, m_out)
+            fallbacks += 1
     el, eh = _percentile_errors(boots[:, 0], m_in)
     ol, oh = _percentile_errors(boots[:, 1], m_out)
     return RetrievalCurve(
@@ -400,6 +420,7 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
         m_s0_outside=m_out, m_s0_outside_err_low=ol, m_s0_outside_err_high=oh,
         amplitude=amp,
         residual_rms=float(np.sqrt(np.mean(res ** 2))),
+        fallbacks=fallbacks,
     )
 
 
@@ -414,6 +435,7 @@ class G2Result:
     corrected: float
     corrected_err_low: float
     corrected_err_high: float
+    fallbacks: int = 0
 
 
 def g2_cross(gate_counts, source_counts, backgrounds: tuple[float, float] = (0.0, 0.0),
@@ -429,27 +451,25 @@ def g2_cross(gate_counts, source_counts, backgrounds: tuple[float, float] = (0.0
         raise ValueError("gate and source counts must be equal-length 1-d arrays")
     dg, ds = backgrounds
 
-    def estimate(gv, sv):
-        mg, ms = float(np.mean(gv)), float(np.mean(sv))
-        if mg <= 0 or ms <= 0:
-            raise ValueError("zero mean in a channel")
-        raw = float(np.mean(gv * sv)) / (mg * ms)
-        if mg - dg <= 0 or ms - ds <= 0:
-            raise ValueError("background exceeds a channel mean")
-        num = float(np.mean(gv * sv)) - mg * ds - dg * ms + dg * ds
-        return raw, num / ((mg - dg) * (ms - ds))
+    def estimate(mg, ms, mgs):
+        return (mgs / (mg * ms),
+                (mgs - mg * ds - dg * ms + dg * ds) / ((mg - dg) * (ms - ds)))
 
-    raw, corrected = estimate(g, s)
-    rng = np.random.default_rng(seed)
-    boots = np.empty((resamples, 2))
-    for b, idx in enumerate(_bootstrap(rng, g.size, resamples)):
-        try:
-            boots[b] = estimate(g[idx], s[idx])
-        except ValueError:
-            boots[b] = (raw, corrected)
+    mg, ms = float(np.mean(g)), float(np.mean(s))
+    if mg <= 0 or ms <= 0:
+        raise ValueError("zero mean in a channel")
+    if mg - dg <= 0 or ms - ds <= 0:
+        raise ValueError("background exceeds a channel mean")
+    raw, corrected = estimate(mg, ms, float(np.mean(g * s)))
+    bg, bs, bgs = (bootstrap_sums(np.column_stack([g, s, g * s]), resamples,
+                                  np.random.default_rng(seed)) / g.size).T
+    failed = (bg <= 0) | (bs <= 0) | (bg - dg <= 0) | (bs - ds <= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        boots = np.column_stack(estimate(bg, bs, bgs))
+    boots[failed] = (raw, corrected)
     rl, rh = _percentile_errors(boots[:, 0], raw)
     cl, ch = _percentile_errors(boots[:, 1], corrected)
-    return G2Result(raw, rl, rh, corrected, cl, ch)
+    return G2Result(raw, rl, rh, corrected, cl, ch, fallbacks=int(failed.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,237 @@
+"""The shared bootstrap (``stats.bootstrap_sums``), the point estimates
+of every estimator that uses it, their fallback counts, and property
+tests of the estimators."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from photon_transistor import stats
+from photon_transistor.engine import ShotRecord
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+def synthetic_records(n, seed, mu=20.0, stored_mean=0.5):
+    """Seeded shot records with the shape of a gated run: unblocked shots
+    transmit ~mu photons, blocked ones a tenth of that."""
+    rng = np.random.default_rng(seed)
+    stored = rng.poisson(stored_mean, n)
+    intra = rng.poisson(np.where(stored == 0, mu, 0.1 * mu))
+    outside = rng.binomial(intra, 0.66)
+    detected = rng.binomial(outside, 0.43)
+    retrieved = (stored >= 1) & (rng.random(n) < 0.5 * np.exp(-0.66 * mu / 2.8))
+    gate = rng.binomial(stored, 0.3)
+    return [ShotRecord(i, int(stored[i]), int(intra[i]), int(outside[i]), False,
+                       bool(retrieved[i]), True, int(detected[i]), int(gate[i]))
+            for i in range(n)]
+
+
+def shots(n_stored, values):
+    return [ShotRecord(i, k, v, v, False, k == 1, True, v, k)
+            for i, (k, v) in enumerate(zip(n_stored, values))]
+
+
+@pytest.fixture(scope="module")
+def records():
+    return synthetic_records(600, 1)
+
+
+@pytest.fixture(scope="module")
+def decay_points():
+    return [synthetic_records(500, 10 + i, mu=mu)
+            for i, mu in enumerate((0.0, 1.0, 2.0, 3.5, 5.0))]
+
+
+class TestBootstrapSums:
+    COLUMNS = np.array([[1, 0, 3], [1, 1, 0], [1, 0, 3], [1, 2, 5],
+                        [1, 1, 0], [1, 0, 1], [1, 2, 5], [1, 0, 3]], dtype=float)
+
+    def test_moments_match_the_index_bootstrap(self):
+        # a resample of n rows has sums with mean n*mean and covariance
+        # n*cov (ddof=0) of the rows; 20000 replicates give the means to
+        # well under 5 standard errors and the variances to about 1%
+        n, reps = len(self.COLUMNS), 20_000
+        sums = stats.bootstrap_sums(self.COLUMNS, reps, np.random.default_rng(3))
+        assert sums.shape == (reps, 3)
+        assert np.all(sums[:, 0] == n)
+        mean, var = self.COLUMNS[:, 1:].mean(axis=0), self.COLUMNS[:, 1:].var(axis=0)
+        se = np.sqrt(n * var / reps)
+        assert np.all(np.abs(sums[:, 1:].mean(axis=0) - n * mean) < 5 * se)
+        assert np.allclose(sums[:, 1:].var(axis=0), n * var, rtol=0.05)
+
+    def test_same_seed_same_draws(self):
+        a = stats.bootstrap_sums(self.COLUMNS, 50, np.random.default_rng(5))
+        b = stats.bootstrap_sums(self.COLUMNS, 50, np.random.default_rng(5))
+        c = stats.bootstrap_sums(self.COLUMNS, 50, np.random.default_rng(6))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_blocks_do_not_change_draws(self, monkeypatch):
+        # all rows distinct, the case where blocking bounds memory; integer
+        # valued like shot counts, so the sums are exact in any order
+        cols = np.random.default_rng(7).integers(0, 10**6, (300, 2)).astype(float)
+        whole = stats.bootstrap_sums(cols, 40, np.random.default_rng(8))
+        monkeypatch.setattr(stats, "_BOOTSTRAP_BLOCK", 900)
+        blocked = stats.bootstrap_sums(cols, 40, np.random.default_rng(8))
+        assert np.array_equal(whole, blocked)
+
+    def test_empty_component_frequency(self):
+        # 2 of 40 shots in one component: a resample misses both with
+        # probability (38/40)**40; 2000 replicates put the count within
+        # 5 standard deviations of 2000 times that
+        p = (38 / 40) ** 40
+        cols = np.array([[1.0]] * 2 + [[0.0]] * 38)
+        sums = stats.bootstrap_sums(cols, 2000, np.random.default_rng(9))
+        empty = int((sums[:, 0] == 0).sum())
+        assert abs(empty - 2000 * p) < 5 * math.sqrt(2000 * p * (1 - p))
+
+
+class TestPointEstimatesPinned:
+    """Values computed by the per-resample loops the shared bootstrap
+    replaced; the point estimates must not change by a bit."""
+
+    def test_gain(self, records):
+        truth = stats.gain(records, resamples=50, seed=2)
+        assert (truth.g, truth.g_outside, truth.source_strength) == (
+            17.83254144229754, 11.814063984795693, 19.84552845528455)
+        thresh = stats.gain(records, labels="threshold", threshold=3.5,
+                            resamples=50, seed=2)
+        assert (thresh.g, thresh.g_outside, thresh.source_strength) == (
+            14.904806890803002, 10.406835232008891, 20.308196721311475)
+
+    def test_retrieval_curve(self, decay_points):
+        strengths = (0.0, 0.9456869009584664, 2.0875420875420874,
+                     3.4952380952380953, 4.989510489510489)
+        outside = (0.0, 0.6134185303514377, 1.4343434343434343,
+                   2.311111111111111, 3.227272727272727)
+        curve = stats.retrieval_curve(decay_points, resamples=20, seed=3)
+        assert (curve.m_s0, curve.m_s0_outside, curve.amplitude,
+                curve.residual_rms) == (3.6407073976335624, 2.425890951325195,
+                                        0.9549596376365745, 0.11871456005499469)
+        assert curve.fractions == (1.0, 0.6283185840707964, 0.6725663716814159,
+                                   0.20353982300884954, 0.35398230088495575)
+        assert curve.source_strengths == strengths
+        assert curve.source_strengths_outside == outside
+        single = stats.retrieval_curve(decay_points, condition_single=True,
+                                       resamples=20, seed=3)
+        assert (single.m_s0, single.m_s0_outside, single.amplitude,
+                single.residual_rms) == (3.68535424136215, 2.4502864976749814,
+                                         0.9790443257615216, 0.09935415918594555)
+        assert single.fractions == (1.0, 0.6967723259516572, 0.6666196984641397,
+                                    0.2251892046265886, 0.34869223472015176)
+
+    def test_g2_cross(self, records):
+        g = np.array([r.detected_gate for r in records], dtype=float)
+        s = np.array([r.detected_source for r in records], dtype=float)
+        res = stats.g2_cross(g, s, backgrounds=(0.01, 0.2), resamples=50, seed=4)
+        assert (res.raw, res.corrected) == (0.16940225978270904, 0.053494861498672844)
+
+    def test_extinction_factor(self, records):
+        hist = stats.build_histogram({0.0: records})
+        assert hist.extinction_factor[0] == 10.760295881647341
+
+
+class TestErrorBars:
+    def test_same_seed_same_error_bars(self, records, decay_points):
+        assert stats.gain(records, resamples=100, seed=5) == \
+            stats.gain(records, resamples=100, seed=5)
+        assert stats.retrieval_curve(decay_points, resamples=20, seed=5) == \
+            stats.retrieval_curve(decay_points, resamples=20, seed=5)
+        g = np.array([r.detected_gate for r in records], dtype=float)
+        s = np.array([r.detected_source for r in records], dtype=float)
+        assert stats.g2_cross(g, s, resamples=100, seed=5) == \
+            stats.g2_cross(g, s, resamples=100, seed=5)
+        factor = stats.build_histogram({0.0: records}).extinction_factor[0]
+        assert stats.extinction_factor_errors(records, factor, seed=5) == \
+            stats.extinction_factor_errors(records, factor, seed=5)
+
+    def test_error_bars_bracket_the_point(self, records):
+        est = stats.gain(records, resamples=400, seed=6)
+        assert est.fallbacks == 0
+        assert 0 < est.err_low < 0.2 * est.g and 0 < est.err_high < 0.2 * est.g
+
+
+class TestFallbacks:
+    """2 of 40 shots in one component: about 13% of replicates lose it."""
+
+    N_STORED = [0, 0] + [1] * 38
+
+    def test_gain(self):
+        est = stats.gain(shots(self.N_STORED, [9, 11] + [1] * 38), resamples=200)
+        assert est.fallbacks > 0
+        assert est.g == 9.0
+
+    def test_g2_cross(self):
+        res = stats.g2_cross([1.0, 2.0] + [0.0] * 38, [1.0] * 40, resamples=200)
+        assert res.fallbacks > 0
+
+    def test_retrieval_curve(self):
+        points = [synthetic_records(400, 20 + i, mu=mu, stored_mean=0.8)
+                  for i, mu in enumerate((0.0, 2.0))]
+        # strength 4 measured from 2 no-gate shots, retrieval 4 of 40
+        sparse = [ShotRecord(i, 0 if i < 2 else 1, 4, 3, False, i % 10 == 5, True,
+                             1, 0) for i in range(40)]
+        curve = stats.retrieval_curve(points + [sparse], resamples=100, seed=1)
+        assert curve.fallbacks > 0
+        dense = synthetic_records(400, 22, mu=4.0, stored_mean=0.8)
+        assert stats.retrieval_curve(points + [dense], resamples=30,
+                                     seed=1).fallbacks == 0
+
+    def test_extinction_factor(self, records):
+        sparse = shots(self.N_STORED, [10, 12] + [1] * 38)
+        err_low, err_high, skipped = stats.extinction_factor_errors(sparse, 11.0)
+        assert skipped > 0
+        assert err_low >= 0 and err_high >= 0
+        assert stats.extinction_factor_errors(records, 10.76)[2] == 0
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+counts = st.integers(min_value=0, max_value=30)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 2), counts), min_size=2, max_size=30))
+def test_gain_never_exceeds_source_strength(pairs):
+    n_stored = [k for k, _ in pairs]
+    if 0 not in n_stored or all(k == 0 for k in n_stored):
+        n_stored = [0, 1] + n_stored[2:]
+    est = stats.gain(shots(n_stored, [v for _, v in pairs]), resamples=5)
+    assert est.g <= est.source_strength
+
+
+@PROPERTY
+@given(st.dictionaries(st.floats(-5.0, 5.0, allow_nan=False),
+                       st.lists(counts, min_size=1, max_size=20),
+                       min_size=1, max_size=4),
+       st.integers(1, 40))
+def test_histogram_rows_sum_to_one(columns, top):
+    groups = {d: shots([i % 2 for i in range(len(v))], v) for d, v in columns.items()}
+    hist = stats.build_histogram(groups, max_count=top)
+    assert np.allclose(hist.rates.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2,
+                max_size=40),
+       st.randoms(use_true_random=False),
+       st.floats(0.01, 100.0))
+def test_g2_raw_invariant_under_permutation_and_scale(pairs, rnd, scale):
+    g = np.array([a for a, _ in pairs], dtype=float)
+    s = np.array([b for _, b in pairs], dtype=float)
+    g[0] += 1.0   # both channels need a positive mean
+    s[-1] += 1.0
+    raw = stats.g2_cross(g, s, resamples=2).raw
+    order = list(range(len(g)))
+    rnd.shuffle(order)
+    assert math.isclose(stats.g2_cross(g[order], s[order], resamples=2).raw, raw,
+                        rel_tol=1e-12)
+    assert math.isclose(stats.g2_cross(scale * g, s, resamples=2).raw, raw,
+                        rel_tol=1e-12)
+    assert math.isclose(stats.g2_cross(g, scale * s, resamples=2).raw, raw,
+                        rel_tol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ from scipy import stats as sps
 
 from photon_transistor.engine import (DetectionChain, GatePulse, PumpingModel,
                                       RunConfig, SourceDrive, SpinWave,
-                                      TimingSequence, apply_spin_decay, detect,
+                                      TimingSequence, apply_spin_decay,
+                                      bound_workers, detect,
                                       evolve_source_window, retrieve_gate,
                                       run_experiment, run_shot,
                                       sample_gate_storage, shot_rng,
@@ -321,6 +323,16 @@ class TestRunExperiment:
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=3)
         assert serial == parallel
+
+    def test_worker_bound(self):
+        # the pool size is clamped; no pool of that size is ever started
+        assert bound_workers(1000, 10_000, cpus=2) == 2
+        assert bound_workers(1000, 3, cpus=8) == 3
+        assert bound_workers(0, 10_000, cpus=2) == 1
+        assert bound_workers(-4, 10_000, cpus=2) == 1
+        assert bound_workers(4, 10_000, cpus=8) == 4
+        usable = len(os.sched_getaffinity(0))
+        assert 1 <= bound_workers(1000, 10_000) <= usable
 
     def test_shot_rng_streams_are_independent_of_order(self):
         cfg = base_config(n_shots=50, master_seed=37)
