@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
+from itertools import groupby
 from pathlib import Path
+from typing import get_type_hints
 
-from .engine import (DetectionChain, GatePulse, PumpingModel, RunConfig,
-                     SourceDrive, TimingSequence)
-from .qed import AtomParams, CavityParams, CooperativityModel
+from .engine import RunConfig
 
 MHZ = 2.0 * math.pi * 1e6
 US = 1e-6
@@ -30,90 +30,103 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULTS = {
-    "cavity": {
-        "kappa_mhz": 1.0,
-        "mirror_transmission": 6.6e-6,
-        "mirror_loss": 3.4e-6,
-    },
-    "atoms": {
-        "gamma_mhz": 5.2,
-        "eta0": 8.6,
-        "tau_spinwave_us": 2.1,
-        "optical_depth": 0.9,
-    },
-    "cooperativity": {
-        "standing_wave": True,
-        "geometric_weight": 2.8 / 4.3,
-        "levels": "",
-    },
-    "timing": {
-        "storage_ramp_us": 1.0,
-        "hold_before_source_us": 0.0,
-        "source_window_us": 24.0,
-        "hold_before_retrieval_us": 0.0,
-    },
-    "gate": {
-        "mean_incident_photons": 1.0,
-        "storage_efficiency": 0.15,
-        "retrieval_efficiency": 0.3219859280039968,
-    },
-    "source": {
-        "mean_photons": 60.0,
-        "detuning_mhz": 0.0,
-    },
-    "pumping": {
-        "hop_prob_per_scatter": 1.0,
-        "eta_ratio_after_hop": 0.992,
-    },
-    "detection": {
-        "gate_path_efficiency": 0.9,
-        "source_path_efficiency": 0.43,
-        "gate_dark_cps": 0.0,
-        "source_dark_cps": 0.0,
-    },
-    "run": {
-        "n_shots": 1000,
-        "master_seed": 12345,
-        "retrieval_mode": False,
-    },
-}
+# One row per file key, in file order: (section, key, RunConfig part,
+# field, unit scale, default).  Part None is a field of RunConfig itself;
+# scale None means the file value is used as is.  The default's type sets
+# how the value is parsed; levels (default None) is an "eta:prob,..." list.
+FIELDS = (
+    ("cavity", "kappa_mhz", "cavity", "kappa", MHZ, 1.0),
+    ("cavity", "mirror_transmission", "cavity", "mirror_transmission", None, 6.6e-6),
+    ("cavity", "mirror_loss", "cavity", "mirror_loss", None, 3.4e-6),
+    ("atoms", "gamma_mhz", "atoms", "gamma", MHZ, 5.2),
+    ("atoms", "eta0", "atoms", "eta0", None, 8.6),
+    ("atoms", "tau_spinwave_us", "atoms", "tau_spinwave", US, 2.1),
+    ("atoms", "optical_depth", "atoms", "optical_depth", None, 0.9),
+    ("cooperativity", "standing_wave", "coop", "standing_wave", None, True),
+    ("cooperativity", "geometric_weight", "coop", "geometric_weight", None, 2.8 / 4.3),
+    ("cooperativity", "levels", "coop", "levels", None, None),
+    ("timing", "storage_ramp_us", "timing", "storage_ramp", US, 1.0),
+    ("timing", "hold_before_source_us", "timing", "hold_before_source", US, 0.0),
+    ("timing", "source_window_us", "timing", "source_window", US, 24.0),
+    ("timing", "hold_before_retrieval_us", "timing", "hold_before_retrieval", US, 0.0),
+    ("gate", "mean_incident_photons", "gate", "mean_incident_photons", None, 1.0),
+    ("gate", "storage_efficiency", "gate", "storage_efficiency", None, 0.15),
+    # storage * spin-wave decay over 1 us * retrieval = 0.030 combined chain
+    ("gate", "retrieval_efficiency", "gate", "retrieval_efficiency", None,
+     0.030 / (0.15 * math.exp(-1.0 / 2.1))),
+    ("source", "mean_photons", "source", "mean_source_photons", None, 60.0),
+    ("source", "detuning_mhz", "source", "detuning", MHZ, 0.0),
+    # optical pumping: certain hop per scattering event, mild coupling loss
+    # per hop; sets the gain saturation scale near a thousand source photons
+    ("pumping", "hop_prob_per_scatter", "pumping", "hop_prob_per_scatter", None, 1.0),
+    ("pumping", "eta_ratio_after_hop", "pumping", "eta_ratio_after_hop", None, 0.992),
+    ("detection", "gate_path_efficiency", "detection", "gate_path_efficiency", None, 0.9),
+    ("detection", "source_path_efficiency", "detection", "source_path_efficiency", None, 0.43),
+    ("detection", "gate_dark_cps", "detection", "gate_dark_rate", None, 0.0),
+    ("detection", "source_dark_cps", "detection", "source_dark_rate", None, 0.0),
+    ("run", "n_shots", None, "n_shots", None, 1000),
+    ("run", "master_seed", None, "master_seed", None, 12345),
+    ("run", "retrieval_mode", None, "retrieval_mode", None, False),
+)
 
-_BOOL_KEYS = {"standing_wave", "retrieval_mode"}
-_INT_KEYS = {"n_shots", "master_seed"}
+# RunConfig's parts (CavityParams, AtomParams, ...) in construction order
+_PARTS = {name: cls for name, cls in get_type_hints(RunConfig).items() if is_dataclass(cls)}
+_DEFAULTS = {(row[0], row[1]): row[5] for row in FIELDS}
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"cannot parse boolean value {raw!r} for key {key}")
+def _parse(raw: str, key: str, default):
+    if isinstance(default, bool):
+        if raw.strip().lower() not in _BOOLS:
+            raise ConfigError(f"cannot parse boolean value {raw!r} for key {key}")
+        return _BOOLS[raw.strip().lower()]
+    if default is None:
+        if not raw.strip():
+            return None
+        pairs = []
+        for item in raw.split(","):
+            try:
+                eta_s, prob_s = item.split(":")
+                pairs.append((float(eta_s), float(prob_s)))
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse levels entry {item.strip()!r}; "
+                                  "expected eta:probability") from exc
+        return tuple(pairs)
+    kind = "integer" if isinstance(default, int) else "number"
+    try:
+        return type(default)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {kind} {raw!r} for {key}") from exc
 
 
-def _parse_levels(raw: str) -> tuple[tuple[float, float], ...] | None:
-    raw = raw.strip()
-    if not raw:
-        return None
-    pairs = []
-    for item in raw.split(","):
-        try:
-            eta_s, prob_s = item.split(":")
-            pairs.append((float(eta_s), float(prob_s)))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse levels entry {item.strip()!r}; "
-                              "expected eta:probability") from exc
-    return tuple(pairs)
+def _format(value, default) -> str:
+    if default is None:
+        return ",".join(f"{eta!r}:{prob!r}" for eta, prob in value or ())
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _format_levels(levels) -> str:
-    if not levels:
-        return ""
-    return ",".join(f"{eta!r}:{prob!r}" for eta, prob in levels)
+def _build(values: dict) -> RunConfig:
+    """RunConfig from file values keyed by (section, key); missing keys
+    take their defaults.  coop.eta0 is the [atoms] eta0 value."""
+    parts: dict = {part: {} for part in (*_PARTS, None)}
+    for section, key, part, name, scale, default in FIELDS:
+        value = values.get((section, key), default)
+        parts[part][name] = value * scale if scale else value
+    parts["coop"]["eta0"] = parts["atoms"]["eta0"]
+    try:
+        return RunConfig(**{part: cls(**parts[part]) for part, cls in _PARTS.items()},
+                         **parts[None])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _read_values(path: str | Path) -> dict[str, dict]:
+def load_config(path: str | Path) -> RunConfig:
+    """Parse a config file into a validated RunConfig.  Missing keys use
+    the documented defaults; unknown keys, unparsable values and
+    invariant violations raise ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -123,172 +136,39 @@ def _read_values(path: str | Path) -> dict[str, dict]:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"parse error in {path}: {exc}") from exc
-
-    values = {sec: dict(defaults) for sec, defaults in DEFAULTS.items()}
+    values = {}
     for section in parser.sections():
-        if section not in values:
+        if section not in {sec for sec, _ in _DEFAULTS}:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in DEFAULTS[section]:
+            if (section, key) not in _DEFAULTS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            if key in _BOOL_KEYS:
-                values[section][key] = _parse_bool(raw, key)
-            elif key in _INT_KEYS:
-                try:
-                    values[section][key] = int(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"cannot parse integer {raw!r} for {key}") from exc
-            elif key == "levels":
-                values[section][key] = raw
-            else:
-                try:
-                    values[section][key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"cannot parse number {raw!r} for {key}") from exc
-    return values
-
-
-def _build(values: dict[str, dict]) -> RunConfig:
-    cav, atm = values["cavity"], values["atoms"]
-    coop, tim = values["cooperativity"], values["timing"]
-    gat, src = values["gate"], values["source"]
-    pmp, det, run = values["pumping"], values["detection"], values["run"]
-    try:
-        cavity = CavityParams(
-            kappa=cav["kappa_mhz"] * MHZ,
-            mirror_transmission=cav["mirror_transmission"],
-            mirror_loss=cav["mirror_loss"],
-        )
-        atoms = AtomParams(
-            gamma=atm["gamma_mhz"] * MHZ,
-            eta0=atm["eta0"],
-            tau_spinwave=atm["tau_spinwave_us"] * US,
-            optical_depth=atm["optical_depth"],
-        )
-        levels = coop["levels"]
-        if isinstance(levels, str):
-            levels = _parse_levels(levels)
-        model = CooperativityModel(
-            eta0=atm["eta0"],
-            standing_wave=coop["standing_wave"],
-            geometric_weight=coop["geometric_weight"],
-            levels=levels,
-        )
-        timing = TimingSequence(
-            storage_ramp=tim["storage_ramp_us"] * US,
-            hold_before_source=tim["hold_before_source_us"] * US,
-            source_window=tim["source_window_us"] * US,
-            hold_before_retrieval=tim["hold_before_retrieval_us"] * US,
-        )
-        gate = GatePulse(
-            mean_incident_photons=gat["mean_incident_photons"],
-            storage_efficiency=gat["storage_efficiency"],
-            retrieval_efficiency=gat["retrieval_efficiency"],
-        )
-        source = SourceDrive(
-            mean_source_photons=src["mean_photons"],
-            detuning=src["detuning_mhz"] * MHZ,
-        )
-        pumping = PumpingModel(
-            hop_prob_per_scatter=pmp["hop_prob_per_scatter"],
-            eta_ratio_after_hop=pmp["eta_ratio_after_hop"],
-        )
-        detection = DetectionChain(
-            gate_path_efficiency=det["gate_path_efficiency"],
-            source_path_efficiency=det["source_path_efficiency"],
-            gate_dark_rate=det["gate_dark_cps"],
-            source_dark_rate=det["source_dark_cps"],
-        )
-        return RunConfig(
-            cavity=cavity, atoms=atoms, coop=model, timing=timing, gate=gate,
-            source=source, pumping=pumping, detection=detection,
-            n_shots=run["n_shots"], master_seed=run["master_seed"],
-            retrieval_mode=run["retrieval_mode"],
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Parse a config file into a validated RunConfig.  Missing keys use
-    the documented defaults; unknown keys, unparsable values and
-    invariant violations raise ConfigError."""
-    return _build(_read_values(path))
+            values[section, key] = _parse(raw, key, _DEFAULTS[section, key])
+    return _build(values)
 
 
 def default_config() -> RunConfig:
-    return _build({sec: dict(vals) for sec, vals in DEFAULTS.items()})
-
-
-def config_to_values(config: RunConfig) -> dict[str, dict]:
-    """RunConfig back to the boundary-unit key/value form."""
-    return {
-        "cavity": {
-            "kappa_mhz": config.cavity.kappa / MHZ,
-            "mirror_transmission": config.cavity.mirror_transmission,
-            "mirror_loss": config.cavity.mirror_loss,
-        },
-        "atoms": {
-            "gamma_mhz": config.atoms.gamma / MHZ,
-            "eta0": config.atoms.eta0,
-            "tau_spinwave_us": config.atoms.tau_spinwave / US,
-            "optical_depth": config.atoms.optical_depth,
-        },
-        "cooperativity": {
-            "standing_wave": config.coop.standing_wave,
-            "geometric_weight": config.coop.geometric_weight,
-            "levels": _format_levels(config.coop.levels),
-        },
-        "timing": {
-            "storage_ramp_us": config.timing.storage_ramp / US,
-            "hold_before_source_us": config.timing.hold_before_source / US,
-            "source_window_us": config.timing.source_window / US,
-            "hold_before_retrieval_us": config.timing.hold_before_retrieval / US,
-        },
-        "gate": {
-            "mean_incident_photons": config.gate.mean_incident_photons,
-            "storage_efficiency": config.gate.storage_efficiency,
-            "retrieval_efficiency": config.gate.retrieval_efficiency,
-        },
-        "source": {
-            "mean_photons": config.source.mean_source_photons,
-            "detuning_mhz": config.source.detuning / MHZ,
-        },
-        "pumping": {
-            "hop_prob_per_scatter": config.pumping.hop_prob_per_scatter,
-            "eta_ratio_after_hop": config.pumping.eta_ratio_after_hop,
-        },
-        "detection": {
-            "gate_path_efficiency": config.detection.gate_path_efficiency,
-            "source_path_efficiency": config.detection.source_path_efficiency,
-            "gate_dark_cps": config.detection.gate_dark_rate,
-            "source_dark_cps": config.detection.source_dark_rate,
-        },
-        "run": {
-            "n_shots": config.n_shots,
-            "master_seed": config.master_seed,
-            "retrieval_mode": config.retrieval_mode,
-        },
-    }
+    return _build({})
 
 
 def write_config(config: RunConfig, path: str | Path) -> None:
-    """Serialize a RunConfig to the text format; load_config(write_config(c))
-    reproduces c exactly (floats are written with full repr precision)."""
-    values = config_to_values(config)
+    """Serialize a RunConfig to the text format, floats at full repr
+    precision.  For every config whose fields come from file values in
+    boundary units (all presets and every loaded file),
+    load_config(write_config(c)) reproduces c exactly.  The file holds
+    one eta0, so a config whose coop.eta0 differs from atoms.eta0 is
+    refused with ConfigError."""
+    if config.coop.eta0 != config.atoms.eta0:
+        raise ConfigError(
+            f"CooperativityModel.eta0 ({config.coop.eta0!r}) differs from "
+            f"AtomParams.eta0 ({config.atoms.eta0!r}); the config file "
+            "stores only [atoms] eta0")
     lines = []
-    for section, pairs in values.items():
+    for section, rows in groupby(FIELDS, key=lambda row: row[0]):
         lines.append(f"[{section}]")
-        for key, val in pairs.items():
-            if isinstance(val, bool):
-                out = "true" if val else "false"
-            elif isinstance(val, float):
-                out = repr(val)
-            else:
-                out = str(val)
-            lines.append(f"{key} = {out}")
+        for _, key, part, name, scale, default in rows:
+            value = getattr(getattr(config, part) if part else config, name)
+            lines.append(f"{key} = {_format(value / scale if scale else value, default)}")
         lines.append("")
     Path(path).write_text("\n".join(lines))
 

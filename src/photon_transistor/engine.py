@@ -115,7 +115,7 @@ class SpinWave:
             raise ValueError("SpinWave.etas length must equal n_exc")
 
     def total_eta(self) -> float:
-        return qed.sum_cooperativities(self.etas)
+        return sum(self.etas, 0.0)
 
 
 @dataclass(frozen=True)
@@ -250,14 +250,18 @@ def _transmission_and_scatter(delta: float, total_eta: float,
     atomic detuning equals delta).  On resonance these are the closed
     forms extinction() and free_space_scatter_prob(); off resonance the
     scattering scales with the atomic excitation |L|^2 times the
-    intracavity buildup, so T + S <= 1 always holds."""
+    intracavity buildup, so T + S <= 1 always holds.  S is capped at 1 - T
+    so that this holds after rounding too: with eta below about 1e-8 the
+    reflection is under an ulp of 1, and uncapped T / (1 - S) exceeded 1."""
     if delta == 0.0:
         t = qed.extinction(total_eta)
-        return t, 2.0 * total_eta * t
-    t = qed.cavity_transmission_spectrum(delta, ((total_eta, delta),), cavity, atoms)
-    x = 2.0 * delta / atoms.gamma
-    lor2 = 1.0 / (1.0 + x * x)
-    return t, 2.0 * total_eta * lor2 * t
+        s = 2.0 * total_eta * t
+    else:
+        t = qed.cavity_transmission_spectrum(delta, ((total_eta, delta),), cavity, atoms)
+        x = 2.0 * delta / atoms.gamma
+        lor2 = 1.0 / (1.0 + x * x)
+        s = 2.0 * total_eta * lor2 * t
+    return t, (s if s < 1.0 - t else 1.0 - t)
 
 
 def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingModel,

@@ -18,19 +18,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .config import MHZ, US
+from .config import MHZ, US, default_config
 from .engine import (DetectionChain, GatePulse, PumpingModel, RunConfig,
                      SourceDrive, TimingSequence)
 from .qed import AtomParams, CavityParams, CooperativityModel, matched_level_mixture
 
-# physical defaults
-KAPPA_MHZ = 1.0
-GAMMA_MHZ = 5.2
-ETA0 = 8.6
-TAU_SPINWAVE_US = 2.1
-MIRROR_TRANSMISSION = 6.6e-6
-MIRROR_LOSS = 3.4e-6
-OUTCOUPLING = MIRROR_TRANSMISSION / (MIRROR_TRANSMISSION + MIRROR_LOSS)
+# physical defaults (cavity, atoms, storage/retrieval chain, optical pumping)
+DEFAULTS = default_config()
 
 # effective cooperativities: extinction-matched, scattering-matched, and the
 # constant reproducing the measured one-photon extinction factor 17/1.5
@@ -39,14 +33,6 @@ ETA_SCATTERING = 3.3
 MEAN_EXTINCTION = 1.0 / (1.0 + ETA_TRANSMISSION) ** 2
 ETA_HISTOGRAM = math.sqrt(17.0 / 1.5) - 1.0
 
-STORAGE_EFFICIENCY = 0.15
-SPINWAVE_DECAY_1US = math.exp(-1.0 / TAU_SPINWAVE_US)
-# storage * decay(1us) * retrieval = 0.030 combined chain
-RETRIEVAL_EFFICIENCY = 0.030 / (STORAGE_EFFICIENCY * SPINWAVE_DECAY_1US)
-
-# optical pumping: certain hop per scattering event, mild coupling loss per
-# hop; sets the gain saturation scale near a thousand source photons
-PUMPING = PumpingModel(hop_prob_per_scatter=1.0, eta_ratio_after_hop=0.992)
 NO_PUMPING = PumpingModel(hop_prob_per_scatter=0.0, eta_ratio_after_hop=1.0)
 
 IDEAL_DETECTION = DetectionChain(1.0, 1.0, 0.0, 0.0)
@@ -67,18 +53,15 @@ FIG4E_STRENGTHS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.5, 8.0)
 
 
 def cavity_defaults() -> CavityParams:
-    return CavityParams(kappa=KAPPA_MHZ * MHZ,
-                        mirror_transmission=MIRROR_TRANSMISSION,
-                        mirror_loss=MIRROR_LOSS)
+    return DEFAULTS.cavity
 
 
 def atom_defaults() -> AtomParams:
-    return AtomParams(gamma=GAMMA_MHZ * MHZ, eta0=ETA0,
-                      tau_spinwave=TAU_SPINWAVE_US * US, optical_depth=0.9)
+    return DEFAULTS.atoms
 
 
 def constant_cooperativity(eta: float) -> CooperativityModel:
-    return CooperativityModel(eta0=ETA0, standing_wave=False,
+    return CooperativityModel(eta0=DEFAULTS.atoms.eta0, standing_wave=False,
                               geometric_weight=1.0, levels=((eta, 1.0),))
 
 
@@ -86,13 +69,8 @@ def matched_pair_cooperativity() -> CooperativityModel:
     """Two-point mixture with extinction-matched 1.5 and scattering-matched
     3.3 effective cooperativities."""
     return matched_level_mixture(eta_scattering=ETA_SCATTERING,
-                                 mean_extinction=MEAN_EXTINCTION, eta0=ETA0)
-
-
-def standing_wave_cooperativity() -> CooperativityModel:
-    """Continuous standing-wave distribution calibrated to mean 2.8."""
-    return CooperativityModel(eta0=ETA0, standing_wave=True,
-                              geometric_weight=2.8 / (ETA0 / 2.0))
+                                 mean_extinction=MEAN_EXTINCTION,
+                                 eta0=DEFAULTS.atoms.eta0)
 
 
 @dataclass(frozen=True)
@@ -110,17 +88,15 @@ class ExperimentPreset:
 
 
 def _base(coop, gate, timing, source, pumping, detection, retrieval_mode=False):
-    return RunConfig(
-        cavity=cavity_defaults(), atoms=atom_defaults(), coop=coop,
-        timing=timing, gate=gate, source=source, pumping=pumping,
-        detection=detection, n_shots=1000, master_seed=0,
-        retrieval_mode=retrieval_mode,
-    )
+    return replace(DEFAULTS, coop=coop, timing=timing, gate=gate, source=source,
+                   pumping=pumping, detection=detection, master_seed=0,
+                   retrieval_mode=retrieval_mode)
 
 
 def _gate_for_stored(stored_mean: float, retrieval_efficiency: float = 1.0) -> GatePulse:
-    return GatePulse(mean_incident_photons=stored_mean / STORAGE_EFFICIENCY,
-                     storage_efficiency=STORAGE_EFFICIENCY,
+    storage = DEFAULTS.gate.storage_efficiency
+    return GatePulse(mean_incident_photons=stored_mean / storage,
+                     storage_efficiency=storage,
                      retrieval_efficiency=retrieval_efficiency)
 
 
@@ -130,8 +106,7 @@ def fig2_preset() -> ExperimentPreset:
     timing = TimingSequence(1.0 * US, 0.0, 24.0 * US, 0.0)
     points = []
     for ng in FIG2_GATE_MEANS:
-        gate = (GatePulse(0.0, STORAGE_EFFICIENCY) if ng == 0.0
-                else _gate_for_stored(ng))
+        gate = _gate_for_stored(ng)
         for dmhz in FIG2_DETUNINGS_MHZ:
             cfg = _base(constant_cooperativity(ETA_TRANSMISSION), gate, timing,
                         SourceDrive(60.0, dmhz * MHZ), NO_PUMPING, IDEAL_DETECTION)
@@ -148,7 +123,8 @@ def fig2_preset() -> ExperimentPreset:
 def fig3_source_strength() -> float:
     """Source strength placing the no-gate detected mean at the target."""
     dark = FIG3_SOURCE_DARK_CPS * 24.0 * US
-    return (FIG3_DETECTED_TARGET - dark) / (OUTCOUPLING * FIG3_SOURCE_EFFICIENCY)
+    outcoupling = DEFAULTS.cavity.outcoupling
+    return (FIG3_DETECTED_TARGET - dark) / (outcoupling * FIG3_SOURCE_EFFICIENCY)
 
 
 def fig3_preset() -> ExperimentPreset:
@@ -184,7 +160,7 @@ def fig4ab_preset() -> ExperimentPreset:
     points = []
     for mu in FIG4AB_STRENGTHS:
         cfg = _base(matched_pair_cooperativity(), _gate_for_stored(FIG4AB_GATE_MEAN),
-                    timing, SourceDrive(mu, 0.0), PUMPING, IDEAL_DETECTION)
+                    timing, SourceDrive(mu, 0.0), DEFAULTS.pumping, IDEAL_DETECTION)
         points.append(PresetPoint(
             label=f"Ms={mu}",
             meta={"source_strength": mu},
@@ -200,12 +176,11 @@ def fig4e_preset() -> ExperimentPreset:
     interval, combined storage-retrieval chain calibrated to 3.0%, sweep
     of the source strength for the retrieval decay and gain."""
     timing = TimingSequence(1.0 * US, 0.0, 1.0 * US, 0.0)
-    detection = DetectionChain(0.9, FIG3_SOURCE_EFFICIENCY, 0.0, 0.0)
     points = []
     for mu in FIG4E_STRENGTHS:
         cfg = _base(matched_pair_cooperativity(),
-                    _gate_for_stored(0.15, RETRIEVAL_EFFICIENCY), timing,
-                    SourceDrive(mu, 0.0), PUMPING, detection,
+                    _gate_for_stored(0.15, DEFAULTS.gate.retrieval_efficiency), timing,
+                    SourceDrive(mu, 0.0), DEFAULTS.pumping, DEFAULTS.detection,
                     retrieval_mode=True)
         points.append(PresetPoint(
             label=f"Ms={mu}",
@@ -227,7 +202,7 @@ def g2_preset() -> ExperimentPreset:
                                gate_dark_rate=9300.0,
                                source_dark_rate=6200.0)
     cfg = _base(matched_pair_cooperativity(), _gate_for_stored(0.4, 0.85), timing,
-                SourceDrive(0.45, 0.0), PUMPING, detection, retrieval_mode=True)
+                SourceDrive(0.45, 0.0), DEFAULTS.pumping, detection, retrieval_mode=True)
     return ExperimentPreset(
         name="g2",
         description="gate-source cross-correlation with backgrounds",

@@ -27,11 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 # Below this summed cooperativity the cavity is treated as empty.
 ETA_FLOOR = 1e-12
@@ -281,10 +279,3 @@ def mean_blocked_transmission(model: CooperativityModel, stored_mean: float,
     etas = _sample_cooperativities(model, int(counts.sum()), rng)
     totals = np.add.reduceat(etas, np.concatenate(([0], np.cumsum(counts)[:-1])))
     return float(np.mean((1.0 + totals) ** -2))
-
-
-def sum_cooperativities(etas: Sequence[float]) -> float:
-    total = 0.0
-    for eta in etas:
-        total += eta
-    return total

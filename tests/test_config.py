@@ -1,10 +1,59 @@
 import math
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from photon_transistor.config import (ConfigError, default_config, load_config,
-                                      write_config)
+from photon_transistor.config import (FIELDS, ConfigError, default_config,
+                                      load_config, write_config)
 from photon_transistor.presets import get_preset
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+UNIT = st.floats(0.0, 1.0)
+POSITIVE = st.floats(1e-3, 1e3)
+# valid boundary-unit values by key; other numbers are drawn from [0, 1e3]
+BOUNDARY = {
+    "kappa_mhz": POSITIVE, "mirror_transmission": st.floats(1e-9, 1.0),
+    "gamma_mhz": POSITIVE, "tau_spinwave_us": POSITIVE,
+    "geometric_weight": st.floats(1e-3, 1.0),
+    "storage_efficiency": UNIT, "retrieval_efficiency": UNIT,
+    "hop_prob_per_scatter": UNIT, "eta_ratio_after_hop": UNIT,
+    "gate_path_efficiency": UNIT, "source_path_efficiency": UNIT,
+    "detuning_mhz": st.floats(-1e3, 1e3),
+    "n_shots": st.integers(1, 10 ** 9), "master_seed": st.integers(0, 2 ** 64 - 1),
+}
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(f"{eta!r}:{prob!r}" for eta, prob in value)
+    return "" if value is None else repr(value)
+
+
+@st.composite
+def config_files(draw) -> str:
+    """Text of a config file with a valid value drawn for every key."""
+    values, lines = {}, []
+    for section, key, _, _, _, default in FIELDS:
+        if default is None:
+            etas = draw(st.lists(st.floats(0.0, values["eta0"]), max_size=3))
+            value = tuple((eta, 1.0 / len(etas)) for eta in etas) or None
+        elif isinstance(default, bool):
+            value = draw(st.booleans())
+        else:
+            value = draw(BOUNDARY.get(key, st.floats(0.0, 1e3)))
+        if f"[{section}]" not in lines:
+            lines.append(f"[{section}]")
+        values[key] = value
+        lines.append(f"{key} = {_text(value)}")
+    return "\n".join(lines) + "\n"
 
 
 class TestRoundTrip:
@@ -25,6 +74,30 @@ class TestRoundTrip:
         path = tmp_path / "minimal.cfg"
         path.write_text("[run]\nn_shots = 1000\n")
         assert load_config(path) == default_config()
+
+    def test_readme_example_equals_defaults(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert load_config(path) == default_config()
+
+    @settings(max_examples=60, deadline=None)
+    @given(config_files())
+    def test_any_valid_file_round_trips(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            drawn, written = Path(tmp) / "drawn.cfg", Path(tmp) / "written.cfg"
+            drawn.write_text(text)
+            cfg = load_config(drawn)
+            write_config(cfg, written)
+            assert load_config(written) == cfg
+
+    def test_refuses_to_drop_cooperativity_eta0(self, tmp_path):
+        cfg = default_config()
+        cfg = replace(cfg, coop=replace(cfg.coop, eta0=5.0))
+        path = tmp_path / "lossy.cfg"
+        with pytest.raises(ConfigError, match=r"CooperativityModel\.eta0"):
+            write_config(cfg, path)
+        assert not path.exists()
 
 
 class TestUnits:

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from photon_transistor.engine import (DetectionChain, GatePulse, PumpingModel,
                                       RunConfig, SourceDrive, SpinWave,
-                                      TimingSequence, apply_spin_decay,
-                                      bound_workers, detect,
+                                      TimingSequence, _transmission_and_scatter,
+                                      apply_spin_decay, bound_workers, detect,
                                       evolve_source_window, retrieve_gate,
                                       run_experiment, run_shot,
                                       sample_gate_storage, shot_rng,
@@ -98,7 +100,27 @@ class TestGateStorage:
         assert all(e == 2.5 for e in spin.etas)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e10, 1e10), st.floats(0.0, 1e3))
+@example(0.0, 1e-8)
+@example(1e-3, 1e-8)
+def test_transmission_scatter_reflection_sum_to_one(delta, eta):
+    t, s = _transmission_and_scatter(delta, eta, CAVITY, ATOMS)
+    r = t * abs(2j * delta / CAVITY.kappa + eta / (1 + 2j * delta / ATOMS.gamma)) ** 2
+    assert abs(t + s + r - 1.0) <= 1e-12
+    assert t + s <= 1.0
+
+
 class TestSourceWindow:
+    @pytest.mark.parametrize("delta", [0.0, 1e-3])
+    def test_near_empty_blocker_transmits_everything(self, delta):
+        # at eta = 1e-8 the rounded T + S exceeded 1, so the binomial
+        # probability T / (1 - S) left [0, 1] and numpy raised
+        rng = np.random.default_rng(8)
+        n, spin = evolve_source_window(spin_with(1e-8), SourceDrive(60.0, delta),
+                                       NO_PUMP, CAVITY, ATOMS, rng)
+        assert spin.n_scatters == 0 and 30 < n < 90
+
     def test_empty_cavity_poisson(self):
         rng = np.random.default_rng(5)
         src = SourceDrive(11.0, 0.0)
