@@ -11,8 +11,8 @@ from .qed import (AtomParams, CavityParams, CooperativityModel,
 from .engine import (DetectionChain, GatePulse, PumpingModel, RunConfig,
                      ShotRecord, SourceDrive, SpinWave, TimingSequence,
                      apply_spin_decay, detect, evolve_source_window,
-                     retrieve_gate, run_experiment, run_shot,
-                     sample_gate_storage, shot_rng)
+                     SHOT_DTYPE, retrieve_gate, run_experiment, run_shot,
+                     sample_gate_storage, shot_rng, shot_table)
 from .stats import (G2Result, GainEstimate, RetrievalCurve, Spectrum,
                     TransmissionHistogram, average_spectrum, build_histogram,
                     fit_exponential, fit_linear, g2_cross, gain,
@@ -30,7 +30,7 @@ __all__ = [
     "DetectionChain", "GatePulse", "PumpingModel", "RunConfig", "ShotRecord",
     "SourceDrive", "SpinWave", "TimingSequence", "apply_spin_decay", "detect",
     "evolve_source_window", "retrieve_gate", "run_experiment", "run_shot",
-    "sample_gate_storage", "shot_rng",
+    "sample_gate_storage", "shot_rng", "SHOT_DTYPE", "shot_table",
     "G2Result", "GainEstimate", "RetrievalCurve", "Spectrum",
     "TransmissionHistogram", "average_spectrum", "build_histogram",
     "fit_exponential", "fit_linear", "g2_cross", "gain", "retrieval_curve",

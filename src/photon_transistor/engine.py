@@ -33,6 +33,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -168,9 +169,9 @@ class DetectionChain:
             raise ValueError("DetectionChain dark rates must be >= 0")
 
 
-@dataclass(slots=True)
-class ShotRecord:
-    """Everything observable (and the ground truth) for one repetition."""
+class ShotRecord(NamedTuple):
+    """Everything observable (and the ground truth) for one repetition:
+    one row of a shot table, whose columns are these fields."""
 
     shot_index: int
     n_stored: int
@@ -181,6 +182,19 @@ class ShotRecord:
     survived_decay: bool
     detected_source: int
     detected_gate: int
+
+
+SHOT_DTYPE = np.dtype([(name, np.int64 if kind is int else np.bool_)
+                       for name, kind in get_type_hints(ShotRecord).items()])
+
+
+def shot_table(rows) -> np.recarray:
+    """Shot table of ``rows`` (ShotRecords or equal tuples): one
+    ``SHOT_DTYPE`` column per field, read as ``table.n_stored``.  A shot
+    table is returned as it is, without a copy."""
+    if isinstance(rows, np.ndarray) and rows.dtype == SHOT_DTYPE:
+        return rows.view(np.recarray)
+    return np.fromiter(rows, SHOT_DTYPE).view(np.recarray)
 
 
 @dataclass(frozen=True)
@@ -210,11 +224,6 @@ def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
     if not 0 <= shot_index < 2 ** 64:
         raise ValueError("shot_index must be a 64-bit integer")
     return np.random.Generator(np.random.Philox(key=(master_seed << 64) | shot_index))
-
-
-def _shot_scratch() -> tuple[np.random.Philox, np.random.Generator]:
-    bitgen = np.random.Philox(key=0)
-    return bitgen, np.random.Generator(bitgen)
 
 
 def _rekey_shot_stream(scratch, master_seed: int, shot_index: int) -> np.random.Generator:
@@ -383,23 +392,17 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord:
                              det.source_path_efficiency, det.source_dark_rate, rng)
     detected_gate = detect(1 if retrieved else 0, config.timing.storage_ramp,
                            det.gate_path_efficiency, det.gate_dark_rate, rng)
-    return ShotRecord(
-        shot_index=shot_index,
-        n_stored=n_stored,
-        source_transmitted_intracavity=transmitted,
-        source_transmitted_outside=outside,
-        collapsed=n_stored > 0 and not spin.coherent,
-        retrieved=retrieved,
-        survived_decay=spin.survived_decay,
-        detected_source=detected_source,
-        detected_gate=detected_gate,
-    )
+    # positional: keyword construction of a NamedTuple is slower per shot
+    return ShotRecord(shot_index, n_stored, transmitted, outside,
+                      n_stored > 0 and not spin.coherent, retrieved,
+                      spin.survived_decay, detected_source, detected_gate)
 
 
-def _run_range(args) -> list[ShotRecord]:
+def _run_range(args) -> np.recarray:
     config, start, stop = args
-    scratch = _shot_scratch()
-    return [run_shot(config, i, scratch) for i in range(start, stop)]
+    bitgen = np.random.Philox(key=0)  # rekeyed for every shot
+    scratch = (bitgen, np.random.Generator(bitgen))
+    return shot_table(run_shot(config, i, scratch) for i in range(start, stop))
 
 
 def bound_workers(requested: int, n_tasks: int, cpus: int | None = None) -> int:
@@ -413,26 +416,23 @@ def bound_workers(requested: int, n_tasks: int, cpus: int | None = None) -> int:
     return max(1, min(requested, cpus, n_tasks))
 
 
-def run_experiment(config: RunConfig, workers: int = 1) -> list[ShotRecord]:
-    """All shots of one configuration.  ``workers`` > 1 distributes shots
-    over a process pool of at most ``bound_workers`` processes; the
-    per-shot substreams make the result identical to the serial run."""
+def run_experiment(config: RunConfig, workers: int = 1) -> np.recarray:
+    """Shot table of all shots of one configuration, in shot order.
+    ``workers`` > 1 distributes shots over a process pool of at most
+    ``bound_workers`` processes; the per-shot substreams make the result
+    identical to the serial run."""
     n = config.n_shots
     if workers <= 1:
-        scratch = _shot_scratch()
-        return [run_shot(config, i, scratch) for i in range(n)]
+        return _run_range((config, 0, n))
     # with workers <= n, the chunking below makes at least `workers` chunks
     workers = bound_workers(workers, n)
     chunk = max(1, math.ceil(n / (workers * 4)))
     ranges = [(config, s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    records: list[ShotRecord | None] = [None] * n
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_run_range, ranges):
-            for rec in part:
-                records[rec.shot_index] = rec
-    if any(r is None for r in records):
+        table = np.concatenate(list(pool.map(_run_range, ranges))).view(np.recarray)
+    if len(table) != n or not np.array_equal(table.shot_index, np.arange(n)):
         raise RuntimeError("incomplete parallel run; no partial results returned")
-    return records  # type: ignore[return-value]
+    return table
 
 
 def with_source_strength(config: RunConfig, mean_source_photons: float) -> RunConfig:

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, qed, stats
 from .config import config_as_dict
 from .engine import RunConfig, run_experiment
-from .presets import (FIG4AB_LINEAR_POINTS, ExperimentPreset, PresetPoint,
+from .presets import (FIG4AB_LINEAR_POINTS, ExperimentPreset,
                       REFERENCE_TABLES, scale_point_shots)
 
 SLOPE_ORACLE_SAMPLES = 1_000_000
@@ -36,11 +36,6 @@ GAIN_RESAMPLES = 200
 
 class SchemaError(ValueError):
     pass
-
-
-def _point_seeds(seed: int, n_points: int) -> list[int]:
-    state = np.random.SeedSequence(seed).generate_state(n_points, dtype=np.uint64)
-    return [int(s) for s in state]
 
 
 def _fmt(value) -> str:
@@ -112,7 +107,7 @@ def _analyze_fig3(points, runs):
     f_low, f_high, _ = stats.extinction_factor_errors(resonant, factor)
     rows = []
     for i, d in enumerate(hist.detunings):
-        counts = np.array([r.detected_source for r in groups[d]], dtype=float)
+        counts = groups[d].detected_source
         rows.append([d, float(counts.mean()),
                      float(counts.std(ddof=1) / math.sqrt(counts.size)),
                      hist.high_mean[i], hist.low_mean[i], hist.extinction_factor[i]])
@@ -219,8 +214,7 @@ def _analyze_g2(points, runs):
         config.detection.gate_dark_rate * config.timing.storage_ramp,
         config.detection.source_dark_rate * config.timing.source_window,
     )
-    g = np.array([r.detected_gate for r in records], dtype=float)
-    s = np.array([r.detected_source for r in records], dtype=float)
+    g, s = records.detected_gate, records.detected_source
     res = stats.g2_cross(g, s, backgrounds)
     rows = [[float(g.mean()), float(s.mean()), res.raw, res.corrected]]
     summary = {
@@ -237,10 +231,10 @@ def _analyze_g2(points, runs):
 def _analyze_custom(points, runs):
     rows, summary = [], {}
     for point, records in zip(points, runs):
-        m_in = float(np.mean([r.source_transmitted_intracavity for r in records]))
-        m_out = float(np.mean([r.source_transmitted_outside for r in records]))
-        det = float(np.mean([r.detected_source for r in records]))
-        ret = float(np.mean([r.retrieved for r in records]))
+        m_in = float(np.mean(records.source_transmitted_intracavity))
+        m_out = float(np.mean(records.source_transmitted_outside))
+        det = float(np.mean(records.detected_source))
+        ret = float(np.mean(records.retrieved))
         rows.append([point.label, m_in, m_out, det, ret])
     summary["mean_transmitted_intracavity"] = _entry(m_in)
     summary["mean_transmitted_outside"] = _entry(m_out)
@@ -273,18 +267,21 @@ class PresetRun:
     summary_path: Path
 
 
+def _point_configs(preset: ExperimentPreset, n_shots: int, seed: int) -> list[RunConfig]:
+    """Every sweep point's config at ``n_shots`` with its derived master
+    seed; raises ValueError for a bad shot count or seed."""
+    seeds = np.random.SeedSequence(seed).generate_state(len(preset.points), dtype=np.uint64)
+    return [scale_point_shots(p, n_shots, int(s)) for p, s in zip(preset.points, seeds)]
+
+
 def run_preset_points(preset: ExperimentPreset, n_shots: int, seed: int,
-                      workers: int = 1) -> list[list]:
-    """Execute every sweep point with derived per-point seeds."""
-    seeds = _point_seeds(seed, len(preset.points))
-    runs = []
-    for point, point_seed in zip(preset.points, seeds):
-        cfg = scale_point_shots(point, n_shots, point_seed)
-        runs.append(run_experiment(cfg, workers=workers))
-    return runs
+                      workers: int = 1) -> list[np.recarray]:
+    """One shot table per sweep point, run with derived per-point seeds."""
+    return [run_experiment(cfg, workers=workers)
+            for cfg in _point_configs(preset, n_shots, seed)]
 
 
-def analyze_preset(preset: ExperimentPreset, runs: list[list]):
+def analyze_preset(preset: ExperimentPreset, runs: list[np.recarray]):
     analyzer = _ANALYZERS[preset.name]
     return analyzer(preset.points, runs)
 
@@ -293,7 +290,8 @@ def run_preset(preset: ExperimentPreset, n_shots: int, seed: int,
                out_dir: str | Path, workers: int = 1) -> PresetRun:
     """Run the sweep and write manifest, sweep CSV and summary JSON into
     ``out_dir``.  Identical (preset, n_shots, seed) produce byte-identical
-    files."""
+    files.  Bad input raises before ``out_dir`` is created."""
+    configs = _point_configs(preset, n_shots, seed)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -306,7 +304,6 @@ def run_preset(preset: ExperimentPreset, n_shots: int, seed: int,
     runs = run_preset_points(preset, n_shots, seed, workers=workers)
     header, rows, summary, extra = analyze_preset(preset, runs)
 
-    seeds = _point_seeds(seed, len(preset.points))
     manifest = {
         "preset": preset.name,
         "description": preset.description,
@@ -314,9 +311,9 @@ def run_preset(preset: ExperimentPreset, n_shots: int, seed: int,
         "seed": seed,
         "n_shots_per_point": n_shots,
         "points": [
-            {"label": p.label, "meta": p.meta, "master_seed": s,
-             "config": config_as_dict(scale_point_shots(p, n_shots, s))}
-            for p, s in zip(preset.points, seeds)
+            {"label": p.label, "meta": p.meta, "master_seed": cfg.master_seed,
+             "config": config_as_dict(cfg)}
+            for p, cfg in zip(preset.points, configs)
         ],
     }
     manifest_path = out / "manifest.json"

@@ -1,7 +1,9 @@
-"""Estimators turning shot records into the derived observables:
-transmission spectra, bimodal count histograms, switching contrast,
-transistor gain, retrieval decay curves and the gate-source
-cross-correlation, each with uncertainties.
+"""Estimators turning shots into the derived observables: transmission
+spectra, bimodal count histograms, switching contrast, transistor gain,
+retrieval decay curves and the gate-source cross-correlation, each with
+uncertainties.  Estimators read the columns of a shot table
+(``engine.shot_table``, what ``run_experiment`` returns); a list of
+``ShotRecord`` rows is converted to one first.
 
 Uncertainties are bootstrap percentile intervals (1000 resamples by
 default) except for spectra, which carry plain standard errors of the
@@ -22,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .engine import ShotRecord
+from .engine import ShotRecord, shot_table
 
 DEFAULT_RESAMPLES = 1000
 _BOOTSTRAP_BLOCK = 1 << 18
@@ -33,15 +35,7 @@ class FitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# record access helpers
-
-def _col(records: Sequence[ShotRecord], name: str) -> np.ndarray:
-    return np.array([getattr(r, name) for r in records], dtype=float)
-
-
-def _detected(records: Sequence[ShotRecord]) -> np.ndarray:
-    return _col(records, "detected_source")
-
+# bootstrap
 
 def bootstrap_sums(columns, resamples: int, rng: np.random.Generator) -> np.ndarray:
     """Column sums of ``resamples`` bootstrap resamples of the rows of
@@ -90,7 +84,7 @@ def average_spectrum(groups: Mapping[float, Sequence[ShotRecord]],
         raise ValueError("reference must be > 0")
     detunings, means, sems = [], [], []
     for delta in sorted(groups):
-        counts = _detected(groups[delta])
+        counts = shot_table(groups[delta]).detected_source
         if counts.size < 2:
             raise ValueError("need at least 2 shots per detuning")
         detunings.append(delta)
@@ -101,7 +95,7 @@ def average_spectrum(groups: Mapping[float, Sequence[ShotRecord]],
 
 def resonant_reference(records: Sequence[ShotRecord]) -> float:
     """Mean detected counts of a no-gate resonant run, used to normalize."""
-    counts = _detected(records)
+    counts = shot_table(records).detected_source
     if counts.size == 0:
         raise ValueError("empty reference run")
     return float(np.mean(counts))
@@ -112,8 +106,8 @@ def switching_contrast(gate_records: Sequence[ShotRecord],
     """Relative transmission drop on resonance,
     1 - <counts with gate>/<counts without gate>, with the propagated
     standard error."""
-    a = _detected(gate_records)
-    b = _detected(no_gate_records)
+    a = shot_table(gate_records).detected_source
+    b = shot_table(no_gate_records).detected_source
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least 2 shots in each group")
     mb = float(np.mean(b))
@@ -187,7 +181,8 @@ def build_histogram(groups: Mapping[float, Sequence[ShotRecord]],
     ratio of the component mean counts (no gate over gate present)."""
     if len(groups) == 0:
         raise ValueError("no detuning groups")
-    all_counts = np.concatenate([_detected(groups[d]) for d in groups])
+    tables = {d: shot_table(groups[d]) for d in groups}
+    all_counts = np.concatenate([t.detected_source for t in tables.values()])
     if all_counts.size < 1:
         raise ValueError("no shots")
     top = int(max_count) if max_count is not None else int(all_counts.max())
@@ -199,11 +194,10 @@ def build_histogram(groups: Mapping[float, Sequence[ShotRecord]],
     high_mean, low_mean, high_peak, low_peak = [], [], [], []
     factor, thresholds, thr_factor = [], [], []
     for i, delta in enumerate(detunings):
-        records = groups[delta]
-        if len(records) < 1:
+        table = tables[delta]
+        if len(table) < 1:
             raise ValueError("empty detuning group")
-        counts = _detected(records)
-        stored = _col(records, "n_stored")
+        counts, stored = table.detected_source, table.n_stored
         clipped = np.clip(counts, 0, top).astype(int)
         hist = np.bincount(clipped, minlength=bins.size).astype(float)
         rates[i] = hist / hist.sum()
@@ -245,8 +239,9 @@ def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
     """Bootstrap percentile errors of ``factor``, the ground-truth extinction
     factor of ``records``, as (err_low, err_high, skipped).  Replicates with
     an empty component or a dark low component are skipped."""
-    hi = _col(records, "n_stored") == 0
-    counts = _detected(records)
+    table = shot_table(records)
+    hi = table.n_stored == 0
+    counts = table.detected_source
     n_hi, n_lo, c_hi, c_lo = bootstrap_sums(
         np.column_stack([hi, ~hi, hi * counts, ~hi * counts]),
         resamples, np.random.default_rng(seed)).T
@@ -259,7 +254,7 @@ def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
 
 def single_excitation_fraction(records: Sequence[ShotRecord]) -> tuple[float, float]:
     """P(n_stored = 1 | n_stored >= 1) with its binomial standard error."""
-    stored = _col(records, "n_stored")
+    stored = shot_table(records).n_stored
     present = stored >= 1
     n = int(present.sum())
     if n == 0:
@@ -298,14 +293,15 @@ def gain(records: Sequence[ShotRecord], labels: str = "truth",
     ``labels="threshold"`` splits on detected counts above/below
     ``threshold`` the way a measured histogram would be cut.
     """
-    m_in = _col(records, "source_transmitted_intracavity")
-    m_out = _col(records, "source_transmitted_outside")
+    table = shot_table(records)
+    m_in = table.source_transmitted_intracavity
+    m_out = table.source_transmitted_outside
     if labels == "truth":
-        hi = _col(records, "n_stored") == 0
+        hi = table.n_stored == 0
     elif labels == "threshold":
         if threshold is None:
             raise ValueError("threshold labels need a threshold")
-        hi = _detected(records) > threshold
+        hi = table.detected_source > threshold
     else:
         raise ValueError(f"unknown label mode {labels!r}")
     lo = ~hi
@@ -367,9 +363,9 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
     rng = np.random.default_rng(seed)
     points, sums = [], []
     for records in point_records:
-        stored, retr, p_in, p_out = (_col(records, name) for name in (
-            "n_stored", "retrieved", "source_transmitted_intracavity",
-            "source_transmitted_outside"))
+        table = shot_table(records)
+        stored, retr = table.n_stored, table.retrieved
+        p_in, p_out = table.source_transmitted_intracavity, table.source_transmitted_outside
         empty = stored == 0
         if not empty.any():
             raise ValueError("point has no zero-excitation shots to measure strength")

@@ -105,7 +105,7 @@ def test_criterion_4_switching_contrast_bound():
     lines = []
     resonant_means = []
     for ng in (0.0, 0.4, 1.4, 2.9):
-        resonant_means.append(np.mean([r.detected_source for r in runs[ng]]))
+        resonant_means.append(np.mean(runs[ng].detected_source))
     # nested spectra: resonant transmission strictly decreasing with gate mean
     assert all(a > b for a, b in zip(resonant_means, resonant_means[1:]))
     for ng in (0.4, 1.4, 2.9):
@@ -139,9 +139,7 @@ def test_criterion_5_cross_correlation():
         pumping=NO_PUMP, detection=IDEAL,
         n_shots=150_000, master_seed=321, retrieval_mode=True)
     records = run_experiment(cfg)
-    g = np.array([r.detected_gate for r in records], dtype=float)
-    s = np.array([r.detected_source for r in records], dtype=float)
-    ideal = stats.g2_cross(g, s, resamples=300)
+    ideal = stats.g2_cross(records.detected_gate, records.detected_source, resamples=300)
     assert abs(ideal.corrected - 0.16) <= 0.03
     report(5, "g2 anticorrelation",
            f"raw = {raw:.3f} (band [0.21, 0.38]), "

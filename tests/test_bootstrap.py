@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photon_transistor import stats
-from photon_transistor.engine import ShotRecord
+from photon_transistor.engine import SHOT_DTYPE, ShotRecord
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
 
 def synthetic_records(n, seed, mu=20.0, stored_mean=0.5):
-    """Seeded shot records with the shape of a gated run: unblocked shots
+    """Seeded shot table with the shape of a gated run: unblocked shots
     transmit ~mu photons, blocked ones a tenth of that."""
     rng = np.random.default_rng(seed)
     stored = rng.poisson(stored_mean, n)
@@ -25,9 +25,9 @@ def synthetic_records(n, seed, mu=20.0, stored_mean=0.5):
     detected = rng.binomial(outside, 0.43)
     retrieved = (stored >= 1) & (rng.random(n) < 0.5 * np.exp(-0.66 * mu / 2.8))
     gate = rng.binomial(stored, 0.3)
-    return [ShotRecord(i, int(stored[i]), int(intra[i]), int(outside[i]), False,
-                       bool(retrieved[i]), True, int(detected[i]), int(gate[i]))
-            for i in range(n)]
+    return np.rec.fromarrays([np.arange(n), stored, intra, outside, np.zeros(n, bool),
+                              retrieved, np.ones(n, bool), detected, gate],
+                             dtype=SHOT_DTYPE)
 
 
 def shots(n_stored, values):
@@ -125,14 +125,27 @@ class TestPointEstimatesPinned:
                                     0.2251892046265886, 0.34869223472015176)
 
     def test_g2_cross(self, records):
-        g = np.array([r.detected_gate for r in records], dtype=float)
-        s = np.array([r.detected_source for r in records], dtype=float)
-        res = stats.g2_cross(g, s, backgrounds=(0.01, 0.2), resamples=50, seed=4)
+        res = stats.g2_cross(records.detected_gate, records.detected_source,
+                             backgrounds=(0.01, 0.2), resamples=50, seed=4)
         assert (res.raw, res.corrected) == (0.16940225978270904, 0.053494861498672844)
 
     def test_extinction_factor(self, records):
         hist = stats.build_histogram({0.0: records})
         assert hist.extinction_factor[0] == 10.760295881647341
+
+
+def test_record_list_equals_table(records, decay_points):
+    """Estimators give the same results for a list of ShotRecords."""
+    rows = [ShotRecord(*r) for r in records.tolist()]
+    assert stats.gain(rows, resamples=50, seed=2) == \
+        stats.gain(records, resamples=50, seed=2)
+    factor = stats.build_histogram({0.0: rows}).extinction_factor[0]
+    assert stats.build_histogram({0.0: records}).extinction_factor[0] == factor
+    assert stats.extinction_factor_errors(rows, factor) == \
+        stats.extinction_factor_errors(records, factor)
+    lists = [[ShotRecord(*r) for r in p.tolist()] for p in decay_points]
+    assert stats.retrieval_curve(lists, resamples=10, seed=2) == \
+        stats.retrieval_curve(decay_points, resamples=10, seed=2)
 
 
 class TestErrorBars:
@@ -141,8 +154,7 @@ class TestErrorBars:
             stats.gain(records, resamples=100, seed=5)
         assert stats.retrieval_curve(decay_points, resamples=20, seed=5) == \
             stats.retrieval_curve(decay_points, resamples=20, seed=5)
-        g = np.array([r.detected_gate for r in records], dtype=float)
-        s = np.array([r.detected_source for r in records], dtype=float)
+        g, s = records.detected_gate, records.detected_source
         assert stats.g2_cross(g, s, resamples=100, seed=5) == \
             stats.g2_cross(g, s, resamples=100, seed=5)
         factor = stats.build_histogram({0.0: records}).extinction_factor[0]

@@ -105,6 +105,12 @@ class TestCliEntrypoints:
     def test_run_requires_exactly_one_source(self, tmp_path):
         assert cli.main(["run", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--shots", "0"), ("--seed", "-1")])
+    def test_run_bad_input_creates_no_directory(self, tmp_path, flag, value):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--preset", "g2", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_run_missing_config_file(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path)])

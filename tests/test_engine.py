@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from photon_transistor.engine import (DetectionChain, GatePulse, PumpingModel,
-                                      RunConfig, SourceDrive, SpinWave,
+from photon_transistor import engine
+from photon_transistor.engine import (SHOT_DTYPE, DetectionChain, GatePulse,
+                                      PumpingModel, RunConfig, SourceDrive, SpinWave,
                                       TimingSequence, _transmission_and_scatter,
                                       apply_spin_decay, bound_workers, detect,
                                       evolve_source_window, retrieve_gate,
                                       run_experiment, run_shot,
-                                      sample_gate_storage, shot_rng,
+                                      sample_gate_storage, shot_rng, shot_table,
                                       with_source_strength)
 from photon_transistor.qed import (AtomParams, CavityParams, CooperativityModel,
                                    extinction, free_space_scatter_prob)
@@ -35,6 +36,11 @@ def constant_model(eta, eta0=None):
 
 def spin_with(eta, n=1):
     return SpinWave(n_exc=n, etas=[eta] * n)
+
+
+def _run_range_dropping_first(args, run_range=engine._run_range):
+    """A chunk runner that loses the first shot of its chunk."""
+    return run_range(args)[1:]
 
 
 def base_config(**overrides):
@@ -243,7 +249,7 @@ class TestDecayAndRetrieval:
             source=SourceDrive(0.0, 0.0),
             n_shots=1_000_000, master_seed=99, retrieval_mode=True)
         records = run_experiment(cfg)
-        retrieved = np.mean([r.retrieved for r in records])
+        retrieved = np.mean(records.retrieved)
         per_incident = retrieved / 0.05
         se = math.sqrt(retrieved / len(records)) / 0.05
         assert abs(per_incident - 0.030) <= 0.001 + 2 * se
@@ -296,13 +302,14 @@ class TestRunShot:
             detection=DetectionChain(1.0, 0.5, 0.0, 0.0),
             n_shots=30_000, master_seed=21)
         records = run_experiment(cfg)
-        detected = np.mean([r.detected_source for r in records])
+        detected = np.mean(records.detected_source)
         assert abs(detected - 40.0 * 0.66 * 0.5) <= 0.15
 
     def test_outside_never_exceeds_intracavity(self):
         cfg = base_config(source=SourceDrive(30.0, 0.0), n_shots=2000)
-        for r in run_experiment(cfg):
-            assert r.source_transmitted_outside <= r.source_transmitted_intracavity
+        records = run_experiment(cfg)
+        assert np.all(records.source_transmitted_outside
+                      <= records.source_transmitted_intracavity)
 
     def test_retrieval_consistency_invariants(self):
         cfg = base_config(
@@ -310,12 +317,11 @@ class TestRunShot:
             source=SourceDrive(1.5, 0.0),
             n_shots=20_000, master_seed=23, retrieval_mode=True)
         records = run_experiment(cfg)
-        assert any(r.retrieved for r in records)
-        for r in records:
-            if r.retrieved:
-                assert r.n_stored >= 1
-                assert not r.collapsed
-                assert r.survived_decay
+        retrieved = records[records.retrieved]
+        assert len(retrieved) > 0
+        assert np.all(retrieved.n_stored >= 1)
+        assert not retrieved.collapsed.any()
+        assert retrieved.survived_decay.all()
 
     def test_strong_gate_reaches_extinction_level(self):
         # many stored excitations: compare against the enumeration oracle
@@ -328,7 +334,7 @@ class TestRunShot:
             timing=TimingSequence(1e-6, 0.0, 1e-6, 0.0),
             n_shots=20_000, master_seed=29)
         records = run_experiment(cfg)
-        sim = np.mean([r.source_transmitted_intracavity for r in records]) / 50.0
+        sim = np.mean(records.source_transmitted_intracavity) / 50.0
         ks = np.arange(0, 80)
         oracle = float(np.sum(sps.poisson.pmf(ks, stored_mean)
                               * (1 + eta * ks) ** -2.0))
@@ -338,13 +344,22 @@ class TestRunShot:
 class TestRunExperiment:
     def test_single_shot_equals_run_shot(self):
         cfg = base_config(n_shots=1)
-        assert run_experiment(cfg) == [run_shot(cfg, 0)]
+        assert run_experiment(cfg).tolist() == [run_shot(cfg, 0)]
 
     def test_serial_equals_parallel(self):
         cfg = base_config(n_shots=500, master_seed=31, retrieval_mode=True)
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=3)
-        assert serial == parallel
+        for table in (serial, parallel):
+            assert isinstance(table, np.recarray)
+            assert table.dtype == SHOT_DTYPE
+            assert np.array_equal(table.shot_index, np.arange(500))
+        assert np.array_equal(serial, parallel)
+
+    def test_incomplete_parallel_run_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "_run_range", _run_range_dropping_first)
+        with pytest.raises(RuntimeError, match="incomplete"):
+            run_experiment(base_config(n_shots=40, master_seed=31), workers=2)
 
     def test_worker_bound(self):
         # the pool size is clamped; no pool of that size is ever started
@@ -359,7 +374,23 @@ class TestRunExperiment:
     def test_shot_rng_streams_are_independent_of_order(self):
         cfg = base_config(n_shots=50, master_seed=37)
         records = run_experiment(cfg)
-        assert [run_shot(cfg, i) for i in reversed(range(50))][::-1] == records
+        assert [run_shot(cfg, i) for i in reversed(range(50))][::-1] == records.tolist()
+
+
+class TestShotTable:
+    def test_rows_become_columns(self):
+        cfg = base_config(retrieval_mode=True)
+        rows = [run_shot(cfg, i) for i in range(5)]
+        table = shot_table(rows)
+        assert table.dtype == SHOT_DTYPE
+        assert table.tolist() == rows
+        assert list(table.n_stored) == [r.n_stored for r in rows]
+        assert table[2].detected_source == rows[2].detected_source
+
+    def test_table_is_not_copied(self):
+        table = run_experiment(base_config(n_shots=10))
+        assert np.shares_memory(shot_table(table), table)
+        assert len(shot_table([])) == 0
 
 
 class TestSamplerMoments:

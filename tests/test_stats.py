@@ -275,8 +275,7 @@ class TestG2Cross:
                           source=SourceDrive(1.0, 0.0),
                           n_shots=100_000, master_seed=15, retrieval_mode=True)
         records = run_experiment(cfg)
-        g = np.array([r.detected_gate for r in records], dtype=float)
-        s = np.array([r.detected_source for r in records], dtype=float)
+        g, s = records.detected_gate, records.detected_source
         correlated = stats.g2_cross(g, s, resamples=200)
         assert correlated.raw < 0.6
         rng = np.random.default_rng(16)
