@@ -174,9 +174,6 @@ def write_config(config: RunConfig, path: str | Path) -> None:
 
 
 def config_as_dict(config: RunConfig) -> dict:
-    """JSON-ready dump of the fully resolved configuration (SI units)."""
-    raw = asdict(config)
-    coop = raw["coop"]
-    if coop["levels"] is not None:
-        coop["levels"] = [list(pair) for pair in coop["levels"]]
-    return raw
+    """JSON-ready dump of the fully resolved configuration (SI units);
+    ``json`` writes the ``levels`` tuples as lists."""
+    return asdict(config)

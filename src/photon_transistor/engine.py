@@ -227,19 +227,15 @@ def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
 
 
 def _rekey_shot_stream(scratch, master_seed: int, shot_index: int) -> np.random.Generator:
-    """Reuse one Philox instance across shots by resetting its 128-bit key
-    and counter; yields the same stream as a fresh shot_rng() but without
-    per-shot construction cost."""
+    """Reuse one Philox instance across shots by assigning it a fresh state:
+    key (shot_index, master_seed), zero counter, empty buffer.  Yields the
+    same stream as a fresh shot_rng() but without per-shot construction
+    cost, and without reading the old state back."""
     bitgen, gen = scratch
-    state = bitgen.state
-    inner = state["state"]
-    inner["key"][0] = shot_index
-    inner["key"][1] = master_seed
-    inner["counter"][:] = 0
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bitgen.state = state
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": (0, 0, 0, 0), "key": (shot_index, master_seed)},
+                    "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
     return gen
 
 

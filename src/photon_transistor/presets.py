@@ -21,7 +21,7 @@ from typing import Callable
 from .config import MHZ, US, default_config
 from .engine import (DetectionChain, GatePulse, PumpingModel, RunConfig,
                      SourceDrive, TimingSequence)
-from .qed import AtomParams, CavityParams, CooperativityModel, matched_level_mixture
+from .qed import CooperativityModel, matched_level_mixture
 
 # physical defaults (cavity, atoms, storage/retrieval chain, optical pumping)
 DEFAULTS = default_config()
@@ -50,14 +50,6 @@ FIG4AB_STRENGTHS = (1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 14.0, 19.0, 25.0,
                     60.0, 125.0, 250.0, 500.0, 1000.0, 2000.0, 3000.0)
 FIG4AB_LINEAR_POINTS = 9
 FIG4E_STRENGTHS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.5, 8.0)
-
-
-def cavity_defaults() -> CavityParams:
-    return DEFAULTS.cavity
-
-
-def atom_defaults() -> AtomParams:
-    return DEFAULTS.atoms
 
 
 def constant_cooperativity(eta: float) -> CooperativityModel:

@@ -195,12 +195,13 @@ def sample_cooperativity(model: CooperativityModel, rng: np.random.Generator) ->
 
 def _sample_cooperativities(model: CooperativityModel, n: int,
                             rng: np.random.Generator) -> np.ndarray:
-    """Vectorized sampling; the single-draw API wraps this."""
+    """``n`` draws of ``sample_cooperativity``: the same rule, consuming the
+    stream the same way."""
     if model.levels is not None:
         etas = np.array([lv[0] for lv in model.levels])
-        probs = np.array([lv[1] for lv in model.levels])
-        idx = rng.choice(len(etas), size=n, p=probs / probs.sum())
-        return etas[idx]
+        cdf = np.cumsum([lv[1] for lv in model.levels])
+        idx = np.searchsorted(cdf, rng.random(n), side="right")
+        return etas[np.minimum(idx, etas.size - 1)]
     if model.standing_wave:
         kz = rng.uniform(0.0, math.pi, size=n)
         return model.eta0 * model.geometric_weight * np.cos(kz) ** 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -290,9 +291,11 @@ def run_preset(preset: ExperimentPreset, n_shots: int, seed: int,
                out_dir: str | Path, workers: int = 1) -> PresetRun:
     """Run the sweep and write manifest, sweep CSV and summary JSON into
     ``out_dir``.  Identical (preset, n_shots, seed) produce byte-identical
-    files.  Bad input raises before ``out_dir`` is created."""
+    files.  Bad input raises before ``out_dir`` is created; a simulation or
+    analysis that raises removes the directories this call created."""
     configs = _point_configs(preset, n_shots, seed)
     out = Path(out_dir)
+    created = [d for d in (out, *out.parents) if not d.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
@@ -301,8 +304,13 @@ def run_preset(preset: ExperimentPreset, n_shots: int, seed: int,
     except OSError as exc:
         raise RuntimeError(f"output directory not writable: {out}") from exc
 
-    runs = run_preset_points(preset, n_shots, seed, workers=workers)
-    header, rows, summary, extra = analyze_preset(preset, runs)
+    try:
+        runs = run_preset_points(preset, n_shots, seed, workers=workers)
+        header, rows, summary, extra = analyze_preset(preset, runs)
+    except BaseException:
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
 
     manifest = {
         "preset": preset.name,

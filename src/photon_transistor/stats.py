@@ -9,8 +9,10 @@ Uncertainties are bootstrap percentile intervals (1000 resamples by
 default) except for spectra, which carry plain standard errors of the
 mean.  ``bootstrap_sums`` draws every bootstrap as multinomial counts over
 the distinct per-shot rows; replicates are ratios of the resampled sums
-(point estimates never are), and a replicate left undefined takes the
-point estimate and is counted in ``fallbacks``.  Component splits can use
+(``gain`` and ``retrieval_curve`` take the same ratios of the full-sample
+sums as point estimate).  An undefined replicate (an emptied component,
+a failed fit) is NaN or infinite, is dropped by ``_percentile_errors``
+and is counted in ``fallbacks``.  Component splits can use
 the simulation ground truth (stored excitation number) or a threshold on
 the detected counts, mirroring how a real bimodal histogram is cut.
 """
@@ -54,9 +56,16 @@ def bootstrap_sums(columns, resamples: int, rng: np.random.Generator) -> np.ndar
         for start in range(0, resamples, block)])
 
 
-def _percentile_errors(samples: np.ndarray, center: float) -> tuple[float, float]:
-    lo, hi = np.percentile(samples, [2.5, 97.5])
-    return max(center - float(lo), 0.0), max(float(hi) - center, 0.0)
+def _percentile_errors(replicates, centers) -> tuple[list[tuple[float, float]], int]:
+    """2.5/97.5 percentile errors about each float of ``centers`` from the
+    columns of ``replicates`` (resamples x len(centers)), and the number of
+    rows dropped for holding a NaN or infinity (undefined).  All dropped: 0s."""
+    kept = replicates[np.isfinite(replicates).all(axis=1)]
+    if len(kept) == 0:
+        return [(0.0, 0.0)] * len(centers), len(replicates)
+    lo, hi = np.percentile(kept, [2.5, 97.5], axis=0).tolist()
+    errors = [(max(c - l, 0.0), max(h - c, 0.0)) for c, l, h in zip(centers, lo, hi)]
+    return errors, len(replicates) - len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +247,17 @@ def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
                              seed: int = 11) -> tuple[float, float, int]:
     """Bootstrap percentile errors of ``factor``, the ground-truth extinction
     factor of ``records``, as (err_low, err_high, skipped).  Replicates with
-    an empty component or a dark low component are skipped."""
+    an empty component or a dark low component are undefined and skipped."""
     table = shot_table(records)
     hi = table.n_stored == 0
     counts = table.detected_source
     n_hi, n_lo, c_hi, c_lo = bootstrap_sums(
         np.column_stack([hi, ~hi, hi * counts, ~hi * counts]),
         resamples, np.random.default_rng(seed)).T
-    kept = (n_hi > 0) & (n_lo > 0) & (c_lo > 0)
-    if not kept.any():
-        return 0.0, 0.0, resamples
-    ratios = (c_hi[kept] / n_hi[kept]) / (c_lo[kept] / n_lo[kept])
-    return (*_percentile_errors(ratios, factor), resamples - int(kept.sum()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (c_hi / n_hi) / (c_lo / n_lo)
+    [errors], skipped = _percentile_errors(ratios[:, None], [factor])
+    return (*errors, skipped)
 
 
 def single_excitation_fraction(records: Sequence[ShotRecord]) -> tuple[float, float]:
@@ -308,21 +316,18 @@ def gain(records: Sequence[ShotRecord], labels: str = "truth",
     if not hi.any() or not lo.any():
         raise ValueError("both histogram components must be populated")
 
-    g_in = float(np.mean(m_in[hi])) - float(np.mean(m_in[lo]))
-    g_out = float(np.mean(m_out[hi])) - float(np.mean(m_out[lo]))
-    n_hi, n_lo, in_hi, in_lo, out_hi, out_lo = bootstrap_sums(
-        np.column_stack([hi, lo, hi * m_in, lo * m_in, hi * m_out, lo * m_out]),
-        resamples, np.random.default_rng(seed)).T
-    failed = (n_hi == 0) | (n_lo == 0)
+    cols = np.column_stack([hi, lo, hi * m_in, lo * m_in, hi * m_out, lo * m_out])
+    # row 0: the full sample, for the point estimate; then the replicates
+    n_hi, n_lo, in_hi, in_lo, out_hi, out_lo = np.vstack(
+        [cols.sum(axis=0), bootstrap_sums(cols, resamples, np.random.default_rng(seed))]).T
     with np.errstate(divide="ignore", invalid="ignore"):
         boots = np.column_stack([in_hi / n_hi - in_lo / n_lo,
                                  out_hi / n_hi - out_lo / n_lo])
-    boots[failed] = (g_in, g_out)
-    el, eh = _percentile_errors(boots[:, 0], g_in)
-    ol, oh = _percentile_errors(boots[:, 1], g_out)
+    g_in, g_out = boots[0].tolist()
+    ((el, eh), (ol, oh)), fallbacks = _percentile_errors(boots[1:], (g_in, g_out))
     return GainEstimate(g_in, el, eh, g_out, ol, oh,
-                        source_strength=float(np.mean(m_in[hi])),
-                        fallbacks=int(failed.sum()))
+                        source_strength=float(in_hi[0] / n_hi[0]),
+                        fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +366,27 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
         raise ValueError("need at least 3 source-strength points")
 
     rng = np.random.default_rng(seed)
-    points, sums = [], []
-    for records in point_records:
+    sums = []
+    for i, records in enumerate(point_records):
         table = shot_table(records)
         stored, retr = table.n_stored, table.retrieved
-        p_in, p_out = table.source_transmitted_intracavity, table.source_transmitted_outside
         empty = stored == 0
-        if not empty.any():
-            raise ValueError("point has no zero-excitation shots to measure strength")
         sel = stored == 1 if condition_single else np.ones_like(empty)
-        points.append((float(np.mean(p_in[empty])), float(np.mean(p_out[empty])),
-                       float(np.mean(retr[sel]))))
-        sums.append(bootstrap_sums(np.column_stack(
-            [empty, empty * p_in, empty * p_out, sel, sel * retr]), resamples, rng))
-    xs_in, xs_out, raw = np.array(points).T
-    ref = int(np.argmin(xs_in))
-    if raw[ref] <= 0:
+        if not empty.any():
+            raise ValueError(f"point {i} has no zero-excitation shots to measure strength")
+        if not sel.any():
+            raise ValueError(f"point {i} has no shot in its retrieval selection")
+        cols = np.column_stack([empty, empty * table.source_transmitted_intracavity,
+                                empty * table.source_transmitted_outside, sel, sel * retr])
+        sums.append(np.vstack([cols.sum(axis=0), bootstrap_sums(cols, resamples, rng)]))
+    # each (1 + resamples, points), row 0 the full sample as in gain
+    n_e, in_e, out_e, n_sel, r_sel = np.moveaxis(np.stack(sums, axis=1), -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs_in, xs_out, raw = in_e / n_e, out_e / n_e, r_sel / n_sel
+        ref = raw[np.arange(len(raw)), np.argmin(xs_in, axis=1)]
+        fractions = raw / ref[:, None]
+    if ref[0] <= 0:
         raise ValueError("zero retrieval at the reference point")
-    fractions = raw / raw[ref]
 
     def fit_both(xi, xo, fr):
         _, m_in, res = fit_exponential(xi, fr)
@@ -386,32 +394,24 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
         return m_in, m_out, amp, res
 
     try:
-        m_in, m_out, amp, res = fit_both(xs_in, xs_out, fractions)
+        m_in, m_out, amp, res = fit_both(xs_in[0], xs_out[0], fractions[0])
     except RuntimeError as exc:
         raise FitError(f"retrieval decay fit failed: {exc}") from exc
     if not (np.isfinite(m_in) and m_in > 0):
         raise FitError("retrieval decay fit failed: non-decreasing data")
 
-    sums = np.stack(sums, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bx = sums[..., 1] / sums[..., 0]
-        bo = sums[..., 2] / sums[..., 0]
-        br = sums[..., 4] / sums[..., 3]
-    r0 = br[np.arange(resamples), np.argmin(bx, axis=1)]
-    defined = (sums[..., 0] > 0).all(axis=1) & (sums[..., 3] > 0).all(axis=1) & (r0 > 0)
-    boots = np.tile((m_in, m_out), (resamples, 1))
-    fallbacks = resamples - int(defined.sum())
+    boots = np.full((resamples, 2), math.nan)  # undefined ones are never fitted
+    defined = np.isfinite(xs_in[1:]).all(axis=1) & np.isfinite(fractions[1:]).all(axis=1)
     for b in np.flatnonzero(defined):
         try:
-            boots[b] = fit_both(bx[b], bo[b], br[b] / r0[b])[:2]
+            boots[b] = fit_both(xs_in[b + 1], xs_out[b + 1], fractions[b + 1])[:2]
         except (RuntimeError, ValueError):
-            fallbacks += 1
-    el, eh = _percentile_errors(boots[:, 0], m_in)
-    ol, oh = _percentile_errors(boots[:, 1], m_out)
+            pass
+    ((el, eh), (ol, oh)), fallbacks = _percentile_errors(boots, (m_in, m_out))
     return RetrievalCurve(
-        source_strengths=tuple(float(x) for x in xs_in),
-        source_strengths_outside=tuple(float(x) for x in xs_out),
-        fractions=tuple(float(f) for f in fractions),
+        source_strengths=tuple(xs_in[0].tolist()),
+        source_strengths_outside=tuple(xs_out[0].tolist()),
+        fractions=tuple(fractions[0].tolist()),
         m_s0=m_in, m_s0_err_low=el, m_s0_err_high=eh,
         m_s0_outside=m_out, m_s0_outside_err_low=ol, m_s0_outside_err_high=oh,
         amplitude=amp,
@@ -459,13 +459,12 @@ def g2_cross(gate_counts, source_counts, backgrounds: tuple[float, float] = (0.0
     raw, corrected = estimate(mg, ms, float(np.mean(g * s)))
     bg, bs, bgs = (bootstrap_sums(np.column_stack([g, s, g * s]), resamples,
                                   np.random.default_rng(seed)) / g.size).T
-    failed = (bg <= 0) | (bs <= 0) | (bg - dg <= 0) | (bs - ds <= 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         boots = np.column_stack(estimate(bg, bs, bgs))
-    boots[failed] = (raw, corrected)
-    rl, rh = _percentile_errors(boots[:, 0], raw)
-    cl, ch = _percentile_errors(boots[:, 1], corrected)
-    return G2Result(raw, rl, rh, corrected, cl, ch, fallbacks=int(failed.sum()))
+    # a replicate failing the point estimate's conditions is undefined
+    boots[(bg <= 0) | (bs <= 0) | (bg - dg <= 0) | (bs - ds <= 0)] = math.nan
+    ((rl, rh), (cl, ch)), fallbacks = _percentile_errors(boots, (raw, corrected))
+    return G2Result(raw, rl, rh, corrected, cl, ch, fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------

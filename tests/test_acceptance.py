@@ -15,9 +15,8 @@ from photon_transistor.engine import (DetectionChain, GatePulse, PumpingModel,
                                       TimingSequence, evolve_source_window,
                                       run_experiment, shot_rng,
                                       with_source_strength)
-from photon_transistor.presets import (atom_defaults, cavity_defaults,
-                                       constant_cooperativity, get_preset,
-                                       scale_point_shots)
+from photon_transistor.presets import (DEFAULTS, constant_cooperativity,
+                                       get_preset, scale_point_shots)
 from photon_transistor.qed import (extinction, free_space_scatter_prob)
 from photon_transistor.runner import (analyze_preset, compare_report,
                                       reference_for, run_preset,
@@ -38,7 +37,7 @@ def report(criterion, name, detail):
 def destruction_runs():
     """~10^6 shots of the constant eta=3.3 retrieval-decay scan."""
     cfg = RunConfig(
-        cavity=cavity_defaults(), atoms=atom_defaults(),
+        cavity=DEFAULTS.cavity, atoms=DEFAULTS.atoms,
         coop=constant_cooperativity(3.3),
         timing=TimingSequence(1e-6, 0.0, 0.1e-6, 0.0),
         gate=GatePulse(1.0, 1.0, 1.0),
@@ -131,7 +130,7 @@ def test_criterion_5_cross_correlation():
     # ideal detection with the extinction-matched constant cooperativity:
     # the corrected correlation equals the one-atom transmission
     cfg = RunConfig(
-        cavity=cavity_defaults(), atoms=atom_defaults(),
+        cavity=DEFAULTS.cavity, atoms=DEFAULTS.atoms,
         coop=constant_cooperativity(1.5),
         timing=TimingSequence(1e-6, 0.0, 1e-6, 0.0),
         gate=GatePulse(0.05, 1.0, 1.0),
@@ -215,7 +214,7 @@ class TestCriterion8Properties:
         rng = shot_rng(0, 2)
         src = SourceDrive(35.0, 0.0)
         end_on_scatter = PumpingModel(1.0, 0.0)
-        cavity, atoms = cavity_defaults(), atom_defaults()
+        cavity, atoms = DEFAULTS.cavity, DEFAULTS.atoms
         firsts = []
         for _ in range(100_000):
             spin = SpinWave(1, [eta])

@@ -201,6 +201,51 @@ class TestFallbacks:
         assert stats.extinction_factor_errors(records, 10.76)[2] == 0
 
 
+class TestUndefinedReplicates:
+    """An undefined replicate is NaN or infinite and is dropped from the
+    interval, never replaced; the estimators count the dropped ones."""
+
+    def test_no_defined_replicate_gives_zero_width(self):
+        nan = np.full((7, 2), math.nan)
+        nan[3, 0] = 1.0
+        assert stats._percentile_errors(nan, (1.0, 2.0)) == ([(0.0, 0.0)] * 2, 7)
+        # a dark low component: every replicate's ratio is x/0
+        dark = shots(TestFallbacks.N_STORED, [10, 12] + [0] * 38)
+        assert stats.extinction_factor_errors(dark, 11.0, resamples=50) == (0.0, 0.0, 50)
+
+    def test_gain_interval_from_defined_replicates_only(self):
+        # 2 high-component shots among 20: about a tenth of the replicates
+        # lose that component, and the interval is the percentiles of the rest
+        n_stored = [0, 0] + [1] * 18
+        values = [12, 20] + [k % 9 for k in range(18)]
+        est = stats.gain(shots(n_stored, values), resamples=400, seed=3)
+        hi, m = np.array(n_stored) == 0, np.array(values, dtype=float)
+        n_hi, n_lo, s_hi, s_lo, _, _ = stats.bootstrap_sums(
+            np.column_stack([hi, ~hi, hi * m, ~hi * m, hi * m, ~hi * m]),
+            400, np.random.default_rng(3)).T
+        defined = (n_hi > 0) & (n_lo > 0)
+        lo, up = np.percentile(s_hi[defined] / n_hi[defined]
+                               - s_lo[defined] / n_lo[defined], [2.5, 97.5])
+        assert est.fallbacks == 400 - defined.sum() > 0
+        assert (est.err_low, est.err_high) == (est.g - lo, up - est.g)
+        assert (est.outside_err_low, est.outside_err_high) == (est.err_low, est.err_high)
+
+    def test_g2_cross_drops_masked_replicates(self):
+        # gate mean 2/40 over a background of 0.04 per shot: a replicate that
+        # draws the two gate clicks fewer than twice has no corrected g2, and
+        # its raw value, finite or not, is dropped with it
+        g = np.array([1.0, 1.0] + [0.0] * 38)
+        s = np.array([3.0, 3.0] + [1.0, 2.0] * 19)
+        res = stats.g2_cross(g, s, backgrounds=(0.04, 0.0), resamples=300, seed=2)
+        bg, bs, bgs = (stats.bootstrap_sums(np.column_stack([g, s, g * s]), 300,
+                                            np.random.default_rng(2)) / g.size).T
+        kept = (bg - 0.04 > 0) & (bs > 0)
+        lo, up = np.percentile(bgs[kept] / (bg[kept] * bs[kept]), [2.5, 97.5])
+        assert res.fallbacks == 300 - kept.sum() > 0
+        assert np.isfinite(bgs[~kept & (bg > 0)] / bg[~kept & (bg > 0)]).any()
+        assert (res.raw_err_low, res.raw_err_high) == (res.raw - lo, up - res.raw)
+
+
 # ---------------------------------------------------------------------------
 # properties
 

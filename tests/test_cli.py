@@ -111,6 +111,21 @@ class TestCliEntrypoints:
         assert cli.main(["run", "--preset", "g2", flag, value, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
+        # 3 shots per point leave some fig4e point without a single-excitation shot
+        out = tmp_path / "new" / "out"
+        assert cli.main(["run", "--preset", "fig4e", "--shots", "3",
+                         "--out", str(out)]) == 2
+        assert "no shot in its retrieval selection" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_run_keeps_an_existing_directory(self, tmp_path):
+        (tmp_path / "keep.txt").write_text("kept")
+        assert cli.main(["run", "--preset", "fig4e", "--shots", "3",
+                         "--out", str(tmp_path)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+        assert (tmp_path / "keep.txt").read_text() == "kept"
+
     def test_run_missing_config_file(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path)])

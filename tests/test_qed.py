@@ -147,6 +147,21 @@ class TestSampling:
         assert set(np.unique(draws)) == {0.3, 3.3}
         assert abs(np.mean(draws == 3.3) - 0.8) < 0.01
 
+    @pytest.mark.parametrize("model,rtol", [
+        (CooperativityModel(eta0=8.6, levels=((3.3, 0.1), (0.3, 0.2), (1.0, 0.7))), 0.0),
+        (CooperativityModel(eta0=8.6, standing_wave=False, geometric_weight=0.65), 0.0),
+        (CooperativityModel(eta0=8.6, standing_wave=True, geometric_weight=2.8 / 4.3),
+         1e-15),
+    ])
+    def test_vector_draws_equal_scalar_draws(self, model, rtol):
+        # one rule, one stream: n vector draws are n scalar draws, and leave
+        # the generator in the same place (cos**2 vs c*c may differ by an ulp)
+        vector_rng, scalar_rng = np.random.default_rng(8), np.random.default_rng(8)
+        vector = _sample_cooperativities(model, 5000, vector_rng)
+        scalar = np.array([sample_cooperativity(model, scalar_rng) for _ in range(5000)])
+        assert np.allclose(vector, scalar, rtol=rtol, atol=0.0)
+        assert vector_rng.random() == scalar_rng.random()
+
 
 class TestEffectiveCooperativities:
     def test_constant_distribution_collapses(self):

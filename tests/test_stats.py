@@ -258,6 +258,14 @@ class TestRetrievalCurve:
         with pytest.raises(ValueError):
             stats.retrieval_curve([[record()]], resamples=10)
 
+    def test_empty_selection_names_the_point(self):
+        # point 1 stored no single excitation, so condition_single selects nothing
+        points = [[record(n_stored=k, intra=i, retrieved=k == 1, idx=i)
+                   for i, k in enumerate(stored)]
+                  for stored in ([0, 1, 1, 0], [0, 2, 2, 0], [0, 1, 0, 1])]
+        with pytest.raises(ValueError, match="point 1 has no shot in its retrieval"):
+            stats.retrieval_curve(points, condition_single=True, resamples=10)
+
 
 class TestG2Cross:
     def test_independent_channels_give_unity(self):
