@@ -6,18 +6,17 @@
     photon-transistor write-config --preset g2 --out g2.cfg
     photon-transistor list-presets
 
-Exit codes: 0 success, 1 comparison failure, 2 usage or config error.
+Exit codes: 0 success, 1 comparison failure, 2 usage, config or run error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .config import ConfigError, load_config, write_config
+from .config import load_config, write_config
 from .presets import PRESET_BUILDERS, custom_preset, get_preset
-from .runner import SchemaError, compare_report, reference_for, run_preset
+from .runner import compare_report, reference_for, run_preset
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +89,7 @@ def main(argv=None) -> int:
             for name in sorted(PRESET_BUILDERS):
                 print(f"{name}: {get_preset(name).description}")
             return 0
-    except (ConfigError, SchemaError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # config, schema, JSON, run errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -100,8 +100,10 @@ def _parse(raw: str, key: str, default):
         raise ConfigError(f"cannot parse {kind} {raw!r} for {key}") from exc
 
 
-def _format(value, default) -> str:
-    if default is None:
+def format_value(value, levels: bool = False) -> str:
+    """Text of one config-file or CSV value: true/false for a bool, a
+    float's repr, str otherwise; with ``levels``, a level list's eta:prob pairs."""
+    if levels:
         return ",".join(f"{eta!r}:{prob!r}" for eta, prob in value or ())
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -168,7 +170,8 @@ def write_config(config: RunConfig, path: str | Path) -> None:
         lines.append(f"[{section}]")
         for _, key, part, name, scale, default in rows:
             value = getattr(getattr(config, part) if part else config, name)
-            lines.append(f"{key} = {_format(value / scale if scale else value, default)}")
+            text = format_value(value / scale if scale else value, levels=default is None)
+            lines.append(f"{key} = {text}")
         lines.append("")
     Path(path).write_text("\n".join(lines))
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, qed, stats
-from .config import config_as_dict
+from .config import config_as_dict, format_value
 from .engine import RunConfig, run_experiment
 from .presets import (FIG4AB_LINEAR_POINTS, ExperimentPreset,
                       REFERENCE_TABLES, scale_point_shots)
@@ -39,14 +39,6 @@ class SchemaError(ValueError):
     pass
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
@@ -56,7 +48,7 @@ def _write_atomic(path: Path, text: str) -> None:
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(format_value(v) for v in row))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -106,12 +98,9 @@ def _analyze_fig3(points, runs):
     p1, p1_err = stats.single_excitation_fraction(resonant)
     factor = hist.extinction_factor[col]
     f_low, f_high, _ = stats.extinction_factor_errors(resonant, factor)
-    rows = []
-    for i, d in enumerate(hist.detunings):
-        counts = groups[d].detected_source
-        rows.append([d, float(counts.mean()),
-                     float(counts.std(ddof=1) / math.sqrt(counts.size)),
-                     hist.high_mean[i], hist.low_mean[i], hist.extinction_factor[i]])
+    spectrum = stats.average_spectrum(groups, 1.0)  # unnormalized mean counts
+    rows = list(zip(spectrum.detunings, spectrum.mean_transmission, spectrum.sem,
+                    hist.high_mean, hist.low_mean, hist.extinction_factor))
     summary = {
         "extinction_factor": _entry(factor, f_low, f_high),
         "threshold_extinction_factor": _entry(hist.threshold_extinction_factor[col]),
@@ -230,20 +219,14 @@ def _analyze_g2(points, runs):
 
 
 def _analyze_custom(points, runs):
-    rows, summary = [], {}
-    for point, records in zip(points, runs):
-        m_in = float(np.mean(records.source_transmitted_intracavity))
-        m_out = float(np.mean(records.source_transmitted_outside))
-        det = float(np.mean(records.detected_source))
-        ret = float(np.mean(records.retrieved))
-        rows.append([point.label, m_in, m_out, det, ret])
-    summary["mean_transmitted_intracavity"] = _entry(m_in)
-    summary["mean_transmitted_outside"] = _entry(m_out)
-    summary["mean_detected_source"] = _entry(det)
-    summary["retrieved_fraction"] = _entry(ret)
+    records = runs[0]
+    means = [float(np.mean(column)) for column in (
+        records.source_transmitted_intracavity, records.source_transmitted_outside,
+        records.detected_source, records.retrieved)]
     header = ["label", "mean_transmitted_intracavity", "mean_transmitted_outside",
               "mean_detected_source", "retrieved_fraction"]
-    return header, rows, summary, {}
+    summary = {name: _entry(mean) for name, mean in zip(header[1:], means)}
+    return header, [[points[0].label, *means]], summary, {}
 
 
 _ANALYZERS = {
@@ -268,18 +251,16 @@ class PresetRun:
     summary_path: Path
 
 
-def _point_configs(preset: ExperimentPreset, n_shots: int, seed: int) -> list[RunConfig]:
+def point_configs(preset: ExperimentPreset, n_shots: int, seed: int) -> list[RunConfig]:
     """Every sweep point's config at ``n_shots`` with its derived master
     seed; raises ValueError for a bad shot count or seed."""
     seeds = np.random.SeedSequence(seed).generate_state(len(preset.points), dtype=np.uint64)
     return [scale_point_shots(p, n_shots, int(s)) for p, s in zip(preset.points, seeds)]
 
 
-def run_preset_points(preset: ExperimentPreset, n_shots: int, seed: int,
-                      workers: int = 1) -> list[np.recarray]:
-    """One shot table per sweep point, run with derived per-point seeds."""
-    return [run_experiment(cfg, workers=workers)
-            for cfg in _point_configs(preset, n_shots, seed)]
+def run_preset_points(configs: list[RunConfig], workers: int = 1) -> list[np.recarray]:
+    """One shot table per sweep point config (from ``point_configs``)."""
+    return [run_experiment(cfg, workers=workers) for cfg in configs]
 
 
 def analyze_preset(preset: ExperimentPreset, runs: list[np.recarray]):
@@ -293,7 +274,7 @@ def run_preset(preset: ExperimentPreset, n_shots: int, seed: int,
     ``out_dir``.  Identical (preset, n_shots, seed) produce byte-identical
     files.  Bad input raises before ``out_dir`` is created; a simulation or
     analysis that raises removes the directories this call created."""
-    configs = _point_configs(preset, n_shots, seed)
+    configs = point_configs(preset, n_shots, seed)
     out = Path(out_dir)
     created = [d for d in (out, *out.parents) if not d.exists()]
     try:
@@ -305,7 +286,7 @@ def run_preset(preset: ExperimentPreset, n_shots: int, seed: int,
         raise RuntimeError(f"output directory not writable: {out}") from exc
 
     try:
-        runs = run_preset_points(preset, n_shots, seed, workers=workers)
+        runs = run_preset_points(configs, workers=workers)
         header, rows, summary, extra = analyze_preset(preset, runs)
     except BaseException:
         if created:

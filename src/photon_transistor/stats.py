@@ -12,9 +12,13 @@ the distinct per-shot rows; replicates are ratios of the resampled sums
 (``gain`` and ``retrieval_curve`` take the same ratios of the full-sample
 sums as point estimate).  An undefined replicate (an emptied component,
 a failed fit) is NaN or infinite, is dropped by ``_percentile_errors``
-and is counted in ``fallbacks``.  Component splits can use
-the simulation ground truth (stored excitation number) or a threshold on
-the detected counts, mirroring how a real bimodal histogram is cut.
+and is counted in ``fallbacks``.  Every high/low component split is
+built by ``_component_sums`` and averaged by ``_component_means``, for
+point estimates and replicates alike: an empty component's mean is NaN
+(0/0), the extinction factor of a dark low component inf (x/0).  Splits
+use the simulation ground truth (stored excitation number) or a
+threshold on the detected counts, as a real bimodal histogram is cut.
+``_mean_sem`` is every plain mean of counts with its standard error.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .engine import ShotRecord, shot_table
 
@@ -84,6 +87,11 @@ class Spectrum:
             raise ValueError("Spectrum.sem must be >= 0")
 
 
+def _mean_sem(counts) -> tuple[float, float]:
+    """Mean of ``counts`` and its standard error, std (ddof 1) / sqrt(N)."""
+    return float(np.mean(counts)), float(np.std(counts, ddof=1)) / math.sqrt(counts.size)
+
+
 def average_spectrum(groups: Mapping[float, Sequence[ShotRecord]],
                      reference: float) -> Spectrum:
     """Mean detected source counts per detuning, normalized by
@@ -96,9 +104,10 @@ def average_spectrum(groups: Mapping[float, Sequence[ShotRecord]],
         counts = shot_table(groups[delta]).detected_source
         if counts.size < 2:
             raise ValueError("need at least 2 shots per detuning")
+        mean, sem = _mean_sem(counts)
         detunings.append(delta)
-        means.append(float(np.mean(counts)) / reference)
-        sems.append(float(np.std(counts, ddof=1)) / math.sqrt(counts.size) / reference)
+        means.append(mean / reference)
+        sems.append(sem / reference)
     return Spectrum(tuple(detunings), tuple(means), tuple(sems))
 
 
@@ -119,13 +128,10 @@ def switching_contrast(gate_records: Sequence[ShotRecord],
     b = shot_table(no_gate_records).detected_source
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least 2 shots in each group")
-    mb = float(np.mean(b))
+    (ma, sa), (mb, sb) = _mean_sem(a), _mean_sem(b)
     if mb == 0:
         raise ValueError("zero transmission in the no-gate reference")
-    ma = float(np.mean(a))
     ratio = ma / mb
-    sa = float(np.std(a, ddof=1)) / math.sqrt(a.size)
-    sb = float(np.std(b, ddof=1)) / math.sqrt(b.size)
     sigma = abs(ratio) * math.sqrt((sa / ma) ** 2 + (sb / mb) ** 2) if ma > 0 else sa / mb
     return 1.0 - ratio, sigma
 
@@ -159,6 +165,27 @@ class TransmissionHistogram:
         raise KeyError(f"no column at detuning {detuning}")
 
 
+def _component_sums(hi, *values) -> np.ndarray:
+    """Per-shot columns (hi, lo, hi*v, lo*v, ...) of the split ``hi`` (lo
+    = ~hi); their sums are each component's size and total of each value."""
+    lo = ~hi
+    return np.column_stack([hi, lo, *(c for v in values for c in (hi * v, lo * v))])
+
+
+def _component_means(sums) -> tuple[np.ndarray, np.ndarray]:
+    """High and low means of each value from ``_component_sums`` column
+    sums (last axis), one row or a bootstrap stack; NaN if empty (0/0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sums[..., 2::2] / sums[..., :1], sums[..., 3::2] / sums[..., 1:2]
+
+
+def _extinction(sums):
+    """High mean, low mean and their ratio from ``_component_sums(hi, counts)`` sums."""
+    hm, lm = (m[..., 0] for m in _component_means(sums))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return hm, lm, hm / lm
+
+
 def _valley_threshold(hist: np.ndarray) -> float:
     """Cut between the two components of a bimodal count histogram: the
     minimum of the (lightly smoothed) histogram between its outermost
@@ -187,7 +214,8 @@ def build_histogram(groups: Mapping[float, Sequence[ShotRecord]],
                     max_count: int | None = None) -> TransmissionHistogram:
     """Occurrence-rate histogram over detuning x detected-count bins with
     a high/low component split per column.  The extinction factor is the
-    ratio of the component mean counts (no gate over gate present)."""
+    ratio of the component mean counts (no gate over gate present): NaN
+    with an empty component, inf with a dark low one."""
     if len(groups) == 0:
         raise ValueError("no detuning groups")
     tables = {d: shot_table(groups[d]) for d in groups}
@@ -200,46 +228,25 @@ def build_histogram(groups: Mapping[float, Sequence[ShotRecord]],
     bins = np.arange(0, top + 1)
     detunings = sorted(groups)
     rates = np.zeros((len(detunings), bins.size))
-    high_mean, low_mean, high_peak, low_peak = [], [], [], []
-    factor, thresholds, thr_factor = [], [], []
+    columns = []
     for i, delta in enumerate(detunings):
         table = tables[delta]
         if len(table) < 1:
             raise ValueError("empty detuning group")
-        counts, stored = table.detected_source, table.n_stored
+        counts = table.detected_source
         clipped = np.clip(counts, 0, top).astype(int)
         hist = np.bincount(clipped, minlength=bins.size).astype(float)
         rates[i] = hist / hist.sum()
-        hi_sel = stored == 0
-        lo_sel = ~hi_sel
-        hm = float(np.mean(counts[hi_sel])) if hi_sel.any() else math.nan
-        lm = float(np.mean(counts[lo_sel])) if lo_sel.any() else math.nan
-        high_mean.append(hm)
-        low_mean.append(lm)
-        high_peak.append(float(np.argmax(np.bincount(clipped[hi_sel], minlength=bins.size)))
-                         if hi_sel.any() else math.nan)
-        low_peak.append(float(np.argmax(np.bincount(clipped[lo_sel], minlength=bins.size)))
-                        if lo_sel.any() else math.nan)
-        factor.append(hm / lm if lo_sel.any() and hi_sel.any() and lm > 0 else math.nan)
+        hi = table.n_stored == 0
+        hm, lm, factor = _extinction(_component_sums(hi, counts).sum(axis=0))
+        peaks = [np.argmax(np.bincount(clipped[sel], minlength=bins.size))
+                 if sel.any() else math.nan for sel in (hi, ~hi)]
         thr = _valley_threshold(rates[i])
-        thresholds.append(thr)
-        t_hi = counts > thr
-        if t_hi.any() and (~t_hi).any() and float(np.mean(counts[~t_hi])) > 0:
-            thr_factor.append(float(np.mean(counts[t_hi])) / float(np.mean(counts[~t_hi])))
-        else:
-            thr_factor.append(math.nan)
-    return TransmissionHistogram(
-        detunings=tuple(detunings),
-        count_bins=tuple(int(b) for b in bins),
-        rates=rates,
-        high_mean=tuple(high_mean),
-        low_mean=tuple(low_mean),
-        high_peak=tuple(high_peak),
-        low_peak=tuple(low_peak),
-        extinction_factor=tuple(factor),
-        threshold=tuple(thresholds),
-        threshold_extinction_factor=tuple(thr_factor),
-    )
+        thr_factor = _extinction(_component_sums(counts > thr, counts).sum(axis=0))[2]
+        columns.append((hm, lm, *peaks, factor, thr, thr_factor))
+    # one tuple of floats per field, high_mean to threshold_extinction_factor
+    return TransmissionHistogram(tuple(detunings), tuple(int(b) for b in bins), rates,
+                                 *(tuple(map(float, col)) for col in zip(*columns)))
 
 
 def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
@@ -249,13 +256,8 @@ def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
     factor of ``records``, as (err_low, err_high, skipped).  Replicates with
     an empty component or a dark low component are undefined and skipped."""
     table = shot_table(records)
-    hi = table.n_stored == 0
-    counts = table.detected_source
-    n_hi, n_lo, c_hi, c_lo = bootstrap_sums(
-        np.column_stack([hi, ~hi, hi * counts, ~hi * counts]),
-        resamples, np.random.default_rng(seed)).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (c_hi / n_hi) / (c_lo / n_lo)
+    cols = _component_sums(table.n_stored == 0, table.detected_source)
+    ratios = _extinction(bootstrap_sums(cols, resamples, np.random.default_rng(seed)))[2]
     [errors], skipped = _percentile_errors(ratios[:, None], [factor])
     return (*errors, skipped)
 
@@ -302,8 +304,6 @@ def gain(records: Sequence[ShotRecord], labels: str = "truth",
     ``threshold`` the way a measured histogram would be cut.
     """
     table = shot_table(records)
-    m_in = table.source_transmitted_intracavity
-    m_out = table.source_transmitted_outside
     if labels == "truth":
         hi = table.n_stored == 0
     elif labels == "threshold":
@@ -312,22 +312,19 @@ def gain(records: Sequence[ShotRecord], labels: str = "truth",
         hi = table.detected_source > threshold
     else:
         raise ValueError(f"unknown label mode {labels!r}")
-    lo = ~hi
-    if not hi.any() or not lo.any():
+    if hi.all() or not hi.any():
         raise ValueError("both histogram components must be populated")
 
-    cols = np.column_stack([hi, lo, hi * m_in, lo * m_in, hi * m_out, lo * m_out])
+    cols = _component_sums(hi, table.source_transmitted_intracavity,
+                           table.source_transmitted_outside)
     # row 0: the full sample, for the point estimate; then the replicates
-    n_hi, n_lo, in_hi, in_lo, out_hi, out_lo = np.vstack(
-        [cols.sum(axis=0), bootstrap_sums(cols, resamples, np.random.default_rng(seed))]).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        boots = np.column_stack([in_hi / n_hi - in_lo / n_lo,
-                                 out_hi / n_hi - out_lo / n_lo])
+    high, low = _component_means(np.vstack(
+        [cols.sum(axis=0), bootstrap_sums(cols, resamples, np.random.default_rng(seed))]))
+    boots = high - low
     g_in, g_out = boots[0].tolist()
     ((el, eh), (ol, oh)), fallbacks = _percentile_errors(boots[1:], (g_in, g_out))
     return GainEstimate(g_in, el, eh, g_out, ol, oh,
-                        source_strength=float(in_hi[0] / n_hi[0]),
-                        fallbacks=fallbacks)
+                        source_strength=float(high[0, 0]), fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +488,8 @@ def fit_exponential(xs, ys) -> tuple[float, float, np.ndarray]:
     def model(xv, a, m):
         return a * np.exp(-xv / m)
 
+    # imported on first use: it takes ~0.4 s, and only fig4ab/fig4e fit
+    from scipy.optimize import curve_fit
     popt, _ = curve_fit(model, x, y, p0=(a0, m0), maxfev=20000)
     a, m = float(popt[0]), float(popt[1])
     return a, m, y - model(x, a, m)

@@ -19,8 +19,8 @@ from photon_transistor.presets import (DEFAULTS, constant_cooperativity,
                                        get_preset, scale_point_shots)
 from photon_transistor.qed import (extinction, free_space_scatter_prob)
 from photon_transistor.runner import (analyze_preset, compare_report,
-                                      reference_for, run_preset,
-                                      run_preset_points)
+                                      point_configs, reference_for,
+                                      run_preset, run_preset_points)
 
 NO_PUMP = PumpingModel(0.0, 1.0)
 IDEAL = DetectionChain(1.0, 1.0, 0.0, 0.0)
@@ -120,7 +120,7 @@ def test_criterion_4_switching_contrast_bound():
 def test_criterion_5_cross_correlation():
     # calibrated detection defaults
     preset = get_preset("g2")
-    runs = run_preset_points(preset, 120_000, 99)
+    runs = run_preset_points(point_configs(preset, 120_000, 99))
     _, _, summary, _ = analyze_preset(preset, runs)
     raw = summary["g2_raw"]["value"]
     corrected = summary["g2_corrected"]["value"]
@@ -148,7 +148,7 @@ def test_criterion_5_cross_correlation():
 
 def test_criterion_6_gain_curve():
     preset = get_preset("fig4ab")
-    runs = run_preset_points(preset, 2500, 2024)
+    runs = run_preset_points(point_configs(preset, 2500, 2024))
     _, rows, summary, _ = analyze_preset(preset, runs)
     slope_ratio = summary["gain_slope_ratio"]["value"]
     peak = summary["gain_peak_intracavity"]["value"]
@@ -170,7 +170,7 @@ def test_criterion_6_gain_curve():
 
 def test_criterion_7_retrieval_mode_gain():
     preset = get_preset("fig4e")
-    runs = run_preset_points(preset, 40_000, 5150)
+    runs = run_preset_points(point_configs(preset, 40_000, 5150))
     _, _, summary, _ = analyze_preset(preset, runs)
     report_cmp = compare_report(summary, reference_for("fig4e"))
     assert report_cmp.passed, str(report_cmp)

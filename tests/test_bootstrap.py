@@ -292,3 +292,50 @@ def test_g2_raw_invariant_under_permutation_and_scale(pairs, rnd, scale):
                         rel_tol=1e-12)
     assert math.isclose(stats.g2_cross(g, scale * s, resamples=2).raw, raw,
                         rel_tol=1e-12)
+
+
+def masked_means(values, hi):
+    """High and low component means by masked np.mean, NaN when empty."""
+    return tuple(float(np.mean(values[sel])) if sel.any() else math.nan
+                 for sel in (hi, ~hi))
+
+
+def same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 2), counts), min_size=1, max_size=30))
+def test_component_split_equals_masked_means(pairs):
+    n_stored = np.array([k for k, _ in pairs])
+    values = np.array([v for _, v in pairs])
+    records = shots(n_stored, values)
+    hist = stats.build_histogram({0.0: records}, max_count=30)
+    truth, by_threshold = n_stored == 0, values > hist.threshold[0]
+    hm, lm = masked_means(values, truth)
+    assert same(hist.high_mean[0], hm) and same(hist.low_mean[0], lm)
+    for hi, factor in ((truth, hist.extinction_factor[0]),
+                       (by_threshold, hist.threshold_extinction_factor[0])):
+        want_hm, want_lm = masked_means(values, hi)
+        if hi.any() and (~hi).any() and want_lm > 0:
+            assert factor == want_hm / want_lm
+    if truth.any() and (~truth).any():
+        assert stats.gain(records, resamples=2).g == hm - lm
+
+
+class TestComponentSplit:
+    """IEEE arithmetic decides an undefined component statistic: an empty
+    component's mean is NaN (0/0), a dark low component's ratio inf (x/0)."""
+
+    def test_empty_low_component_is_nan(self):
+        hist = stats.build_histogram({0.0: shots([0] * 4, [5, 3, 4, 6])})
+        assert math.isnan(hist.low_mean[0]) and math.isnan(hist.low_peak[0])
+        assert math.isnan(hist.extinction_factor[0])
+        assert hist.high_mean[0] == 4.5
+
+    def test_dark_low_component_is_inf(self):
+        hist = stats.build_histogram({0.0: shots([0] * 5 + [1] * 5, [10] * 5 + [0] * 5)})
+        assert (hist.high_mean[0], hist.low_mean[0]) == (10.0, 0.0)
+        assert hist.extinction_factor[0] == math.inf
+        assert hist.threshold[0] == 2.0
+        assert hist.threshold_extinction_factor[0] == math.inf

@@ -126,6 +126,20 @@ class TestCliEntrypoints:
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
         assert (tmp_path / "keep.txt").read_text() == "kept"
 
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["run", "--preset", "g2", "--shots", "10",
+                         "--out", str(blocker / "out")]) == 2
+        assert "error: output directory not writable" in capsys.readouterr().err
+
+    def test_fig3_single_shot_exits_two(self, tmp_path, capsys):
+        # one shot per detuning has no standard error of its mean count
+        out = tmp_path / "out"
+        assert cli.main(["run", "--preset", "fig3", "--shots", "1", "--out", str(out)]) == 2
+        assert "need at least 2 shots per detuning" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_missing_config_file(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path)])

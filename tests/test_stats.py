@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +317,14 @@ class TestG2Cross:
 
 
 class TestFits:
+    def test_package_import_leaves_scipy_optimize_unloaded(self):
+        # fit_exponential imports scipy.optimize on first use
+        src = str(Path(stats.__file__).parents[1])
+        code = "import sys, photon_transistor; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "False"
+
     def test_exponential_exact_recovery(self):
         xs = np.linspace(0, 8, 15)
         ys = np.exp(-xs / 2.0)
