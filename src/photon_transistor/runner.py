@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import shutil
 from dataclasses import dataclass
@@ -335,22 +336,38 @@ def _load_json(source) -> dict:
     return source
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def compare_report(summary, reference) -> ComparisonReport:
     """Check every referenced observable against its [lo, hi] band.
     ``summary`` is a summary dict or path to summary.json; ``reference``
     maps observable -> (lo, hi) (dict, or path to an equivalent JSON).
-    Observables missing from the summary are a schema mismatch."""
+    A summary that is not an object, an observable missing from it or
+    without a numeric value, and a band that is not two numbers are a
+    schema mismatch."""
     summary = _load_json(summary)
     reference = _load_json(reference)
+    for what, table in (("summary", summary), ("reference", reference)):
+        if not isinstance(table, dict):
+            raise SchemaError(f"{what} must be a JSON object keyed by observable, "
+                              f"not {type(table).__name__}")
     lines = []
     passed = True
     for name in sorted(reference):
         band = reference[name]
+        if not (isinstance(band, (list, tuple)) and len(band) == 2
+                and all(map(_is_number, band))):
+            raise SchemaError(f"reference band of {name!r} is not a pair of numbers: {band!r}")
         lo, hi = float(band[0]), float(band[1])
         if name not in summary:
             raise SchemaError(f"observable {name!r} missing from summary")
         entry = summary[name]
-        value = float(entry["value"]) if isinstance(entry, dict) else float(entry)
+        value = entry.get("value") if isinstance(entry, dict) else entry
+        if not _is_number(value):
+            raise SchemaError(f"observable {name!r} has no numeric value: {entry!r}")
+        value = float(value)
         ok = lo <= value <= hi and math.isfinite(value)
         passed &= ok
         status = "PASS" if ok else "FAIL"

@@ -10,14 +10,19 @@ default) except for spectra, which carry plain standard errors of the
 mean.  ``bootstrap_sums`` draws every bootstrap as multinomial counts over
 the distinct per-shot rows; replicates are ratios of the resampled sums
 (``gain`` and ``retrieval_curve`` take the same ratios of the full-sample
-sums as point estimate).  An undefined replicate (an emptied component,
-a failed fit) is NaN or infinite, is dropped by ``_percentile_errors``
-and is counted in ``fallbacks``.  Every high/low component split is
-built by ``_component_sums`` and averaged by ``_component_means``, for
-point estimates and replicates alike: an empty component's mean is NaN
-(0/0), the extinction factor of a dark low component inf (x/0).  Splits
-use the simulation ground truth (stored excitation number) or a
-threshold on the detected counts, as a real bimodal histogram is cut.
+sums as point estimate).  ``retrieval_curve`` fits the decays of all
+its replicates in one batched Levenberg-Marquardt solve (``_fit_decays``)
+started at the point fit, which is still ``fit_exponential``
+(``curve_fit``).  An undefined replicate (an emptied component, a fit
+that ``fit_exponential`` would reject or that has not converged within
+the iteration cap) is NaN or infinite, is dropped by
+``_percentile_errors`` and is counted in ``fallbacks``.  Every high/low
+component split is built by ``_component_sums`` and averaged by
+``_component_means``, for point estimates and replicates alike: an empty
+component's mean is NaN (0/0), the extinction factor of a dark low
+component inf (x/0).  Splits use the simulation ground truth (stored
+excitation number) or a threshold on the detected counts, as a real
+bimodal histogram is cut.
 ``_mean_sem`` is every plain mean of counts with its standard error.
 """
 
@@ -33,6 +38,8 @@ from .engine import ShotRecord, shot_table
 
 DEFAULT_RESAMPLES = 1000
 _BOOTSTRAP_BLOCK = 1 << 18
+_FIT_ITERATIONS = 100   # cap of the batched replicate fits
+_FIT_STEP_TOL = 1e-12   # relative step at which a replicate fit has converged
 
 
 class FitError(RuntimeError):
@@ -385,25 +392,17 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
     if ref[0] <= 0:
         raise ValueError("zero retrieval at the reference point")
 
-    def fit_both(xi, xo, fr):
-        _, m_in, res = fit_exponential(xi, fr)
-        amp, m_out, _ = fit_exponential(xo, fr)
-        return m_in, m_out, amp, res
-
     try:
-        m_in, m_out, amp, res = fit_both(xs_in[0], xs_out[0], fractions[0])
+        amp_in, m_in, res = fit_exponential(xs_in[0], fractions[0])
+        amp, m_out, _ = fit_exponential(xs_out[0], fractions[0])
     except RuntimeError as exc:
         raise FitError(f"retrieval decay fit failed: {exc}") from exc
     if not (np.isfinite(m_in) and m_in > 0):
         raise FitError("retrieval decay fit failed: non-decreasing data")
 
-    boots = np.full((resamples, 2), math.nan)  # undefined ones are never fitted
-    defined = np.isfinite(xs_in[1:]).all(axis=1) & np.isfinite(fractions[1:]).all(axis=1)
-    for b in np.flatnonzero(defined):
-        try:
-            boots[b] = fit_both(xs_in[b + 1], xs_out[b + 1], fractions[b + 1])[:2]
-        except (RuntimeError, ValueError):
-            pass
+    # every replicate starts at the point fit; an undefined one comes back NaN
+    boots = np.column_stack([_fit_decays(xs_in[1:], fractions[1:], amp_in, m_in)[1],
+                             _fit_decays(xs_out[1:], fractions[1:], amp, m_out)[1]])
     ((el, eh), (ol, oh)), fallbacks = _percentile_errors(boots, (m_in, m_out))
     return RetrievalCurve(
         source_strengths=tuple(xs_in[0].tolist()),
@@ -493,6 +492,59 @@ def fit_exponential(xs, ys) -> tuple[float, float, np.ndarray]:
     popt, _ = curve_fit(model, x, y, p0=(a0, m0), maxfev=20000)
     a, m = float(popt[0]), float(popt[1])
     return a, m, y - model(x, a, m)
+
+
+def _fit_decays(x, y, a0, m0, max_iter: int = _FIT_ITERATIONS):
+    """Least squares of y = A exp(-x/m) for every row of ``x``, ``y``
+    (shape (rows, points)) at once, started at (a0, m0).  Levenberg-
+    Marquardt on (A, k = 1/m), in which the model is smooth through k = 0,
+    with the analytic Jacobian and the 2x2 damped normal equations solved
+    in closed form.  A step is taken only where it does not raise the
+    row's sum of squares; a row has converged when a taken step moves A
+    and k by at most ``_FIT_STEP_TOL`` relative.  Returns (A, m), one per
+    row, NaN for a row that ``fit_exponential`` would reject (fewer than 3
+    points, a repeated x), that is not finite, or that has not converged
+    within ``max_iter`` iterations."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    fit = np.full((2, len(x)), math.nan)
+    rows = np.flatnonzero((x.shape[1] >= 3) & np.isfinite(x).all(axis=1)
+                          & np.isfinite(y).all(axis=1)
+                          & (np.diff(np.sort(x, axis=1), axis=1) != 0).all(axis=1))
+    x, y = x[rows], y[rows]
+
+    def dot(u, v):
+        return np.einsum("ij,ij->i", u, v)
+
+    def residuals(a, k):
+        e = np.exp(-k[:, None] * x)
+        r = y - a[:, None] * e
+        return e, r, dot(r, r)
+
+    with np.errstate(all="ignore"):  # a trial step to inf or NaN is not taken
+        a = np.full(rows.size, float(a0))
+        k = 1 / np.full(rows.size, float(m0))
+        lam = np.full(rows.size, 1e-3)
+        e, r, ss = residuals(a, k)
+        for _ in range(max_iter):
+            if rows.size == 0:
+                break
+            ja, jk = e, -a[:, None] * x * e
+            haa, hkk, hak = dot(ja, ja) * (1 + lam), dot(jk, jk) * (1 + lam), dot(ja, jk)
+            ga, gk = dot(ja, r), dot(jk, r)
+            det = haa * hkk - hak * hak
+            da, dk = (hkk * ga - hak * gk) / det, (haa * gk - hak * ga) / det
+            e_t, r_t, ss_t = residuals(a + da, k + dk)
+            take = ss_t <= ss  # False for a NaN trial
+            a, k = np.where(take, a + da, a), np.where(take, k + dk, k)
+            e, r = np.where(take[:, None], e_t, e), np.where(take[:, None], r_t, r)
+            ss, lam = np.where(take, ss_t, ss), np.where(take, lam / 10, lam * 10)
+            done = (take & (np.abs(da) <= _FIT_STEP_TOL * np.abs(a))
+                    & (np.abs(dk) <= _FIT_STEP_TOL * np.abs(k)))
+            fit[:, rows[done]] = a[done], 1 / k[done]
+            rows, x, y, a, k, lam, e, r, ss = (
+                v[~done] for v in (rows, x, y, a, k, lam, e, r, ss))
+    return fit[0], fit[1]
 
 
 def fit_linear(xs, ys) -> tuple[float, float]:

@@ -246,10 +246,80 @@ class TestUndefinedReplicates:
         assert (res.raw_err_low, res.raw_err_high) == (res.raw - lo, up - res.raw)
 
 
+class TestBatchedDecayFit:
+    """``retrieval_curve`` fits its bootstrap replicates with one batched
+    Levenberg-Marquardt solve (``_fit_decays``) started at the point fit."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["all", "single"])
+    def replicate_fits(self, request, decay_points):
+        """The (x, y, a0, m0) of both ``_fit_decays`` calls of a
+        1000-resample retrieval curve, intracavity then outside."""
+        calls, fit = [], stats._fit_decays
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "_fit_decays", lambda *args: calls.append(args) or fit(*args))
+            stats.retrieval_curve(decay_points, condition_single=request.param,
+                                  resamples=1000)
+        return calls
+
+    def test_agrees_with_converged_curve_fit(self, replicate_fits):
+        from scipy.optimize import curve_fit
+
+        def model(x, a, m):
+            return a * np.exp(-x / m)
+
+        assert len(replicate_fits) == 2
+        for x, y, a0, m0 in replicate_fits:
+            m = stats._fit_decays(x, y, a0, m0)[1]
+            tight = [curve_fit(model, xb, yb, p0=(a0, m0), ftol=1e-15, xtol=1e-15,
+                               gtol=0, maxfev=20000)[0][1] for xb, yb in zip(x, y)]
+            default = [stats.fit_exponential(xb, yb)[1] for xb, yb in zip(x, y)]
+            assert np.isfinite(m).all()
+            np.testing.assert_allclose(m, tight, rtol=1e-7)
+            # curve_fit's default tolerances stop short of the minimum
+            np.testing.assert_allclose(m, default, rtol=1e-4)
+
+    def test_undefined_rows_are_nan(self):
+        x = np.tile([0.0, 1.0, 2.0, 3.0], (4, 1))
+        x[1, 2] = 1.0                              # a repeated x
+        y = 2.0 * np.exp(-x / 1.5)
+        y[2] = 2.0 * np.exp(-x[2] / 4.0)           # far from the start
+        y[3, 0] = math.nan
+        a, m = stats._fit_decays(x, y, 2.0, 1.5, max_iter=1)
+        assert (a[0], m[0]) == (2.0, 1.5)
+        assert np.isnan(a[1:]).all() and np.isnan(m[1:]).all()
+        # with the default cap the far row converges; the others stay undefined
+        a, m = stats._fit_decays(x, y, 2.0, 1.5)
+        assert math.isclose(m[2], 4.0, rel_tol=1e-9) and np.isfinite(a[[0, 2]]).all()
+        assert np.isnan(m[[1, 3]]).all()
+        # fewer than 3 points
+        assert np.isnan(stats._fit_decays(x[:, :2], y[:, :2], 2.0, 1.5)[1]).all()
+
+    @pytest.mark.parametrize("resamples", [20, 200])
+    def test_point_fits_only(self, decay_points, monkeypatch, resamples):
+        # the replicates never reach fit_exponential, whatever their number
+        calls, fit = [], stats.fit_exponential
+        monkeypatch.setattr(stats, "fit_exponential",
+                            lambda *args: calls.append(args) or fit(*args))
+        stats.retrieval_curve(decay_points, resamples=resamples)
+        assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # properties
 
 counts = st.integers(min_value=0, max_value=30)
+
+
+@PROPERTY
+@given(st.floats(0.1, 10.0), st.floats(0.3, 30.0),
+       st.sets(st.integers(0, 60), min_size=3, max_size=12),
+       st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+def test_fit_decays_recovers_noise_free_decay(amp, decay, steps, a_start, m_start):
+    x = 3 * decay * np.array(sorted(steps)) / 60  # distinct, in [0, 3m]
+    y = amp * np.exp(-x / decay)
+    a, m = stats._fit_decays(x[None], y[None], a_start * amp, m_start * decay)
+    assert math.isclose(a[0], amp, rel_tol=1e-9)
+    assert math.isclose(m[0], decay, rel_tol=1e-9)
 
 
 @PROPERTY

@@ -176,6 +176,34 @@ class TestCliEntrypoints:
         assert cli.main(["compare", "--summary", str(summary_path),
                          "--reference", str(ref_path)]) == 0
 
+    @pytest.mark.parametrize("entry", [{"err_low": 0, "err_high": 0}, {"value": None},
+                                       {"value": "0.29"}, {"value": True}])
+    def test_compare_entry_without_numeric_value_exit_two(self, tmp_path, capsys, entry):
+        summary_path = tmp_path / "summary.json"
+        summary_path.write_text(json.dumps(
+            {"g2_raw": entry, "g2_corrected": {"value": 0.17}}))
+        assert cli.main(["compare", "--summary", str(summary_path),
+                         "--preset", "g2"]) == 2
+        assert "error: observable 'g2_raw' has no numeric value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("band", [[1], [10.0, 12.0, 14.0], 11.0, [10.0, "12"]])
+    def test_compare_malformed_band_exit_two(self, tmp_path, capsys, band):
+        summary_path = tmp_path / "summary.json"
+        summary_path.write_text(json.dumps({"extinction_factor": {"value": 11.4}}))
+        ref_path = tmp_path / "ref.json"
+        ref_path.write_text(json.dumps({"extinction_factor": band}))
+        assert cli.main(["compare", "--summary", str(summary_path),
+                         "--reference", str(ref_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: reference band of 'extinction_factor' is not a pair of numbers" in err
+
+    def test_compare_summary_not_an_object_exit_two(self, tmp_path, capsys):
+        summary_path = tmp_path / "summary.json"
+        summary_path.write_text(json.dumps([{"g2_raw": {"value": 0.29}}]))
+        assert cli.main(["compare", "--summary", str(summary_path),
+                         "--preset", "g2"]) == 2
+        assert "error: summary must be a JSON object" in capsys.readouterr().err
+
     def test_write_config_round_trips(self, tmp_path):
         out = tmp_path / "fig3.cfg"
         assert cli.main(["write-config", "--preset", "fig3", "--out", str(out)]) == 0
