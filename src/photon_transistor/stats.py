@@ -494,7 +494,7 @@ def fit_exponential(xs, ys) -> tuple[float, float, np.ndarray]:
     return a, m, y - model(x, a, m)
 
 
-def _fit_decays(x, y, a0, m0, max_iter: int = _FIT_ITERATIONS):
+def _fit_decays(x, y, a0, m0):
     """Least squares of y = A exp(-x/m) for every row of ``x``, ``y``
     (shape (rows, points)) at once, started at (a0, m0).  Levenberg-
     Marquardt on (A, k = 1/m), in which the model is smooth through k = 0,
@@ -504,7 +504,7 @@ def _fit_decays(x, y, a0, m0, max_iter: int = _FIT_ITERATIONS):
     and k by at most ``_FIT_STEP_TOL`` relative.  Returns (A, m), one per
     row, NaN for a row that ``fit_exponential`` would reject (fewer than 3
     points, a repeated x), that is not finite, or that has not converged
-    within ``max_iter`` iterations."""
+    within ``_FIT_ITERATIONS`` iterations."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     fit = np.full((2, len(x)), math.nan)
@@ -526,7 +526,7 @@ def _fit_decays(x, y, a0, m0, max_iter: int = _FIT_ITERATIONS):
         k = 1 / np.full(rows.size, float(m0))
         lam = np.full(rows.size, 1e-3)
         e, r, ss = residuals(a, k)
-        for _ in range(max_iter):
+        for _ in range(_FIT_ITERATIONS):
             if rows.size == 0:
                 break
             ja, jk = e, -a[:, None] * x * e

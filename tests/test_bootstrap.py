@@ -278,13 +278,15 @@ class TestBatchedDecayFit:
             # curve_fit's default tolerances stop short of the minimum
             np.testing.assert_allclose(m, default, rtol=1e-4)
 
-    def test_undefined_rows_are_nan(self):
+    def test_undefined_rows_are_nan(self, monkeypatch):
         x = np.tile([0.0, 1.0, 2.0, 3.0], (4, 1))
         x[1, 2] = 1.0                              # a repeated x
         y = 2.0 * np.exp(-x / 1.5)
         y[2] = 2.0 * np.exp(-x[2] / 4.0)           # far from the start
         y[3, 0] = math.nan
-        a, m = stats._fit_decays(x, y, 2.0, 1.5, max_iter=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(stats, "_FIT_ITERATIONS", 1)
+            a, m = stats._fit_decays(x, y, 2.0, 1.5)
         assert (a[0], m[0]) == (2.0, 1.5)
         assert np.isnan(a[1:]).all() and np.isnan(m[1:]).all()
         # with the default cap the far row converges; the others stay undefined
