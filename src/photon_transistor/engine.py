@@ -25,12 +25,29 @@ distribution at a cost proportional to the number of scattering events.
 Every shot draws from its own counter-based random stream keyed by
 (master_seed, shot_index), so results are independent of execution order
 and identical for serial and parallel runs.
+
+Resonant windows with blocking atoms (detuning 0, at least one stored
+excitation), nearly all of the simulation time at strong source beams,
+run in a small C kernel, ``_window.c``.  It repeats the Python loop
+branch for branch with the same float expressions, and it draws
+from the shot's own bit generator through the numpy distribution
+functions (``libnpyrandom``) that ``Generator`` itself calls, so the
+stream and every result are unchanged.  The kernel is compiled on first
+use with the system C compiler and cached in the package's
+``__pycache__``; detuned windows, empty cavities, and any run where it
+cannot be built use the Python loop, with identical results.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
+import shutil
+import subprocess
+import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, get_type_hints
@@ -116,7 +133,13 @@ class SpinWave:
             raise ValueError("SpinWave.etas length must equal n_exc")
 
     def total_eta(self) -> float:
-        return sum(self.etas, 0.0)
+        """Sum of the cooperativities, added left to right.  ``sum`` is
+        not used: from Python 3.12 on it compensates float rounding, so its
+        result would depend on the Python version."""
+        total = 0.0
+        for eta in self.etas:
+            total += eta
+        return total
 
 
 @dataclass(frozen=True)
@@ -283,8 +306,43 @@ def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingMo
     scattered (chosen with probability proportional to its
     cooperativity).
 
+    Resonant windows with stored excitations run in the compiled kernel
+    when it is available, the rest in ``_evolve_source_window_py``; both
+    give the same result from the same stream.
+
     Returns (transmitted_count, updated spin).
     """
+    kernel = _window_kernel() if source.detuning == 0.0 and spin.n_exc > 0 else None
+    if kernel is None:
+        return _evolve_source_window_py(spin, source, pumping, cavity, atoms, rng)
+    n_attempt = int(rng.poisson(source.mean_source_photons))
+    if n_attempt == 0:
+        return 0, spin
+    n = len(spin.etas)
+    # the argument layout of resonant_window in _window.c
+    counts = (ctypes.c_int64 * 4)(n_attempt, n)
+    values = (ctypes.c_double * (n + 3))(pumping.hop_prob_per_scatter,
+                                          pumping.eta_ratio_after_hop, ETA_FLOOR, *spin.etas)
+    transmitted = kernel(rng.bit_generator.ctypes.bit_generator, counts, values)
+    if transmitted < 0:
+        # the kernel stopped before a draw numpy rejects: make it here, so
+        # that the Generator raises its own error
+        rng.geometric(values[0])
+        raise RuntimeError(f"window kernel rejected geometric({values[0]!r})")
+    if counts[2]:
+        spin.n_scatters += counts[2]
+        if spin.first_scatter_photon is None:
+            spin.first_scatter_photon = counts[3]
+        spin.coherent = False
+        spin.etas[:] = values[3:]
+    return transmitted, spin
+
+
+def _evolve_source_window_py(spin: SpinWave, source: SourceDrive, pumping: PumpingModel,
+                             cavity: CavityParams, atoms: AtomParams,
+                             rng: np.random.Generator) -> tuple[int, SpinWave]:
+    """``evolve_source_window`` in Python: the reference for the compiled
+    kernel, and the engine for every window the kernel does not run."""
     n_attempt = int(rng.poisson(source.mean_source_photons))
     delta = source.detuning
     transmitted = 0
@@ -328,6 +386,64 @@ def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingMo
                 or rng.random() < pumping.hop_prob_per_scatter):
             spin.etas[j] *= pumping.eta_ratio_after_hop
     return transmitted, spin
+
+
+_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_window.c")
+_KERNEL_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+_CC = "cc"
+# no fused multiply-add, so every float result equals the Python loop's
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _load_kernel() -> ctypes.CDLL:
+    """``_window.c`` compiled and loaded; compiled only when no library of
+    this source, numpy version and interpreter is cached yet.
+
+    The cache is ``_KERNEL_CACHE``.  When that is not writable, the
+    library is built in a private temporary directory, removed once it
+    is loaded.  A new library is written under a temporary name and
+    renamed into place, so a concurrent process never loads a
+    half-written file."""
+    import hashlib
+    import sysconfig
+    with open(_KERNEL_SOURCE, "rb") as fh:
+        source = fh.read()
+    key = hashlib.sha256(b"\0".join(
+        (source, np.__version__.encode(), sys.implementation.cache_tag.encode())))
+    try:
+        os.makedirs(_KERNEL_CACHE, exist_ok=True)
+        private = not os.access(_KERNEL_CACHE, os.W_OK)
+    except OSError:
+        private = True
+    cache = tempfile.mkdtemp(prefix="photon_transistor-") if private else _KERNEL_CACHE
+    library = os.path.join(cache, f"_window.{key.hexdigest()[:16]}.so")
+    build = tempfile.mkdtemp(prefix="_window.", dir=cache)
+    try:
+        if not os.path.exists(library):
+            output = os.path.join(build, "_window.so")
+            subprocess.run(
+                [_CC, *_CFLAGS, "-I", np.get_include(),
+                 "-I", sysconfig.get_paths()["include"], "-o", output, _KERNEL_SOURCE,
+                 os.path.join(os.path.dirname(np.__file__), "random", "lib",
+                              "libnpyrandom.a"), "-lm"],
+                check=True, capture_output=True)
+            os.replace(output, library)
+        return ctypes.CDLL(library)
+    finally:
+        shutil.rmtree(cache if private else build, ignore_errors=True)
+
+
+@functools.cache
+def _window_kernel():
+    """The compiled resonant window as a ctypes function, built on first
+    use; None when it cannot be built or loaded, and windows run in
+    Python."""
+    try:
+        kernel = _load_kernel().resonant_window
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.restype = ctypes.c_int64
+    return kernel
 
 
 def apply_spin_decay(spin: SpinWave, elapsed: float, atoms: AtomParams,
@@ -422,6 +538,8 @@ def run_experiment(config: RunConfig, workers: int = 1) -> np.recarray:
         return _run_range((config, 0, n))
     # with workers <= n, the chunking below makes at least `workers` chunks
     workers = bound_workers(workers, n)
+    if config.source.detuning == 0.0:
+        _window_kernel()  # built here once, not in every worker
     chunk = max(1, math.ceil(n / (workers * 4)))
     ranges = [(config, s, min(s + chunk, n)) for s in range(0, n, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

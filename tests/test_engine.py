@@ -1,6 +1,12 @@
 import math
 import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from photon_transistor import engine
+from photon_transistor import engine, presets, runner
+from photon_transistor.config import default_config
 from photon_transistor.engine import (SHOT_DTYPE, DetectionChain, GatePulse,
                                       PumpingModel, RunConfig, SourceDrive, SpinWave,
                                       TimingSequence, _transmission_and_scatter,
@@ -199,6 +206,181 @@ class TestSourceWindow:
             outs.append(n)
         # far detuned: transmission ~ 1/401
         assert np.mean(outs) < 0.5
+
+
+def _require_compiler():
+    if shutil.which(engine._CC) is None:
+        pytest.skip(f"no C compiler found ({engine._CC!r} is not on PATH)")
+
+
+def _require_kernel():
+    """Skip without a C compiler; with one, the window kernel must build."""
+    _require_compiler()
+    assert engine._window_kernel() is not None, "the window kernel did not build"
+
+
+def _python_windows():
+    """Every source window runs in Python while this is active."""
+    return mock.patch.object(engine, "_window_kernel", lambda: None)
+
+
+@pytest.fixture
+def cold_kernel_cache(monkeypatch, tmp_path):
+    """An empty kernel cache directory, and no kernel loaded yet."""
+    monkeypatch.setattr(engine, "_KERNEL_CACHE", str(tmp_path / "cache"))
+    engine._window_kernel.cache_clear()
+    yield tmp_path / "cache"
+    engine._window_kernel.cache_clear()
+
+
+def test_total_eta_adds_left_to_right():
+    # a compensated sum (Python 3.12+ sum) gives 1.0000000000000002
+    assert SpinWave(3, [1.0, 1e-16, 1e-16]).total_eta() == 1.0
+
+
+def _assert_windows_equal(etas, source, pumping, rng):
+    """The kernel and the Python loop, from equal spins and streams, give
+    the same window and leave the stream in the same state."""
+    rng_py = np.random.Generator(np.random.Philox())
+    rng_py.bit_generator.state = rng.bit_generator.state
+    spin, spin_py = SpinWave(len(etas), list(etas)), SpinWave(len(etas), list(etas))
+    n, spin = evolve_source_window(spin, source, pumping, CAVITY, ATOMS, rng)
+    n_py, spin_py = engine._evolve_source_window_py(spin_py, source, pumping,
+                                                    CAVITY, ATOMS, rng_py)
+    assert n == n_py
+    assert spin == spin_py  # etas, n_scatters, first photon, coherent
+    assert repr(rng.bit_generator.state) == repr(rng_py.bit_generator.state)
+
+
+class TestWindowKernel:
+    """The compiled resonant window against the Python loop."""
+
+    @pytest.mark.parametrize("etas", [
+        [1e-12, 8e-29, 8e-29],  # at ETA_FLOOR only when added left to right
+        [0.0, 0.0, 2.0],        # uncoupled atoms before the one that scatters
+        [3.3] * 200,
+    ])
+    @pytest.mark.parametrize("pumping", [NO_PUMP, PumpingModel(0.3, 0.0),
+                                         PumpingModel(1.0, 0.5)])
+    def test_hand_built_windows_equal_python(self, etas, pumping):
+        _require_kernel()
+        for i in range(20):
+            _assert_windows_equal(etas, SourceDrive(500.0), pumping, shot_rng(3, i))
+
+    @pytest.mark.parametrize("name", [*presets.PRESET_BUILDERS, "custom"])
+    def test_preset_points_equal_python(self, name):
+        _require_kernel()
+        preset = (presets.custom_preset(default_config()) if name == "custom"
+                  else presets.get_preset(name))
+        configs = runner.point_configs(preset, 40, 5)
+        with _python_windows():
+            expected = runner.run_preset_points(configs)
+        for cfg, table in zip(configs, expected):
+            assert np.array_equal(run_experiment(cfg), table)
+            if cfg.source.detuning == 0.0:
+                assert np.array_equal(run_experiment(cfg, workers=2), table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(eta0=st.floats(0.0, 20.0),
+           levels=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+           standing_wave=st.booleans(),
+           stored=st.floats(0.0, 40.0),
+           photons=st.floats(0.0, 3000.0),
+           hop_prob=st.one_of(st.just(0.0), st.floats(0.01, 0.99), st.just(1.0)),
+           hop_ratio=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
+           dark=st.floats(0.0, 1e6),
+           retrieval=st.booleans(),
+           seed=st.integers(0, 2 ** 64 - 1))
+    @example(eta0=3.3, levels=None, standing_wave=False, stored=2.0, photons=200.0,
+             hop_prob=0.5, hop_ratio=0.0, dark=0.0, retrieval=True, seed=1)
+    def test_random_windows_equal_python(self, eta0, levels, standing_wave, stored,
+                                         photons, hop_prob, hop_ratio, dark, retrieval,
+                                         seed):
+        _require_kernel()
+        if levels is not None:  # two levels, eta0 and a fraction of it
+            levels = ((eta0, levels[1]), (eta0 * levels[0], 1.0 - levels[1]))
+        cfg = base_config(
+            coop=CooperativityModel(eta0, standing_wave, 1.0, levels),
+            gate=GatePulse(stored, 1.0, 1.0), source=SourceDrive(photons),
+            pumping=PumpingModel(hop_prob, hop_ratio),
+            detection=DetectionChain(0.7, 0.5, dark, dark),
+            n_shots=3, master_seed=seed, retrieval_mode=retrieval)
+        for i in range(cfg.n_shots):
+            spin = sample_gate_storage(cfg.gate, cfg.coop, shot_rng(seed, i))
+            _assert_windows_equal(spin.etas, cfg.source, cfg.pumping, shot_rng(seed, i))
+        with _python_windows():
+            expected = [run_shot(cfg, i) for i in range(cfg.n_shots)]
+        assert [run_shot(cfg, i) for i in range(cfg.n_shots)] == expected
+
+    @pytest.mark.parametrize("etas, source, pumping, match", [
+        ([2.0], SourceDrive(1e19), NO_PUMP, "lam value too large"),
+        ([math.nan, 1.0], SourceDrive(50.0), NO_PUMP, "p <= 0, p > 1"),
+        # the hop turns the infinite cooperativity into NaN
+        ([math.inf, 1.0], SourceDrive(50.0), KILL_ON_SCATTER, "p <= 0, p > 1"),
+    ])
+    def test_raises_what_the_generator_raises(self, etas, source, pumping, match):
+        _require_kernel()
+        errors = []
+        for window in (evolve_source_window, engine._evolve_source_window_py):
+            with pytest.raises(ValueError, match=match) as info:
+                window(SpinWave(len(etas), list(etas)), source, pumping, CAVITY,
+                       ATOMS, shot_rng(0, 0))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_missing_compiler_falls_back_to_python(self, cold_kernel_cache, monkeypatch):
+        cfg = base_config(n_shots=200, source=SourceDrive(300.0),
+                          pumping=PumpingModel(0.5, 0.8))
+        with _python_windows():
+            expected = run_experiment(cfg)
+        monkeypatch.setattr(engine, "_CC", str(cold_kernel_cache / "no-such-cc"))
+        assert np.array_equal(run_experiment(cfg), expected)
+        assert engine._window_kernel() is None
+        assert list(cold_kernel_cache.iterdir()) == []
+
+    def test_unwritable_cache_builds_in_a_private_directory(self, cold_kernel_cache,
+                                                            monkeypatch, tmp_path):
+        _require_compiler()
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(engine, "_KERNEL_CACHE", str(tmp_path / "file" / "cache"))
+        monkeypatch.setattr(tempfile, "tempdir", str(cold_kernel_cache))
+        cold_kernel_cache.mkdir()
+        assert engine._window_kernel() is not None
+        assert list(cold_kernel_cache.iterdir()) == []  # removed once loaded
+
+    def test_parallel_run_builds_once_in_the_parent(self, cold_kernel_cache,
+                                                    monkeypatch, tmp_path):
+        _require_compiler()
+        log = tmp_path / "cc.log"
+        cc = tmp_path / "cc"
+        cc.write_text(f'#!/bin/sh\necho $PPID >> "{log}"\n'
+                      f'exec "{shutil.which(engine._CC)}" "$@"\n')
+        cc.chmod(0o755)
+        monkeypatch.setattr(engine, "_CC", str(cc))
+        cfg = base_config(n_shots=400, source=SourceDrive(300.0))
+        run_experiment(cfg, workers=2)
+        assert log.read_text().split() == [str(os.getpid())]
+
+    def test_import_and_preset_setup_do_not_build(self):
+        # what the benchmark times as setup: import, preset, reference table
+        probe = ("import photon_transistor\n"
+                 "from photon_transistor import engine, presets, runner\n"
+                 "presets.get_preset('fig4ab')\n"
+                 "runner.reference_for('fig4ab')\n"
+                 "print(engine._window_kernel.cache_info().misses)\n")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert done.stdout.split() == ["0"]
+
+    def test_kernel_source_compiles_without_warnings(self, tmp_path):
+        _require_compiler()
+        done = subprocess.run(
+            [engine._CC, *engine._CFLAGS, "-Wall", "-Wextra", "-Werror", "-c",
+             "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
+             "-o", str(tmp_path / "window.o"), engine._KERNEL_SOURCE],
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestDecayAndRetrieval:
