@@ -40,6 +40,7 @@ cannot be built use the Python loop, with identical results.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -403,20 +404,22 @@ def _load_kernel() -> ctypes.CDLL:
     library is built in a private temporary directory, removed once it
     is loaded.  A new library is written under a temporary name and
     renamed into place, so a concurrent process never loads a
-    half-written file."""
+    half-written file; then the interpreter's older libraries are
+    removed, so the cache holds one library per interpreter."""
+    import glob
     import hashlib
     import sysconfig
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
-    key = hashlib.sha256(b"\0".join(
-        (source, np.__version__.encode(), sys.implementation.cache_tag.encode())))
+    tag = sys.implementation.cache_tag  # names the library, so not hashed
+    key = hashlib.sha256(b"\0".join((source, np.__version__.encode())))
     try:
         os.makedirs(_KERNEL_CACHE, exist_ok=True)
         private = not os.access(_KERNEL_CACHE, os.W_OK)
     except OSError:
         private = True
     cache = tempfile.mkdtemp(prefix="photon_transistor-") if private else _KERNEL_CACHE
-    library = os.path.join(cache, f"_window.{key.hexdigest()[:16]}.so")
+    library = os.path.join(cache, f"_window.{tag}.{key.hexdigest()[:16]}.so")
     build = tempfile.mkdtemp(prefix="_window.", dir=cache)
     try:
         if not os.path.exists(library):
@@ -428,6 +431,11 @@ def _load_kernel() -> ctypes.CDLL:
                               "libnpyrandom.a"), "-lm"],
                 check=True, capture_output=True)
             os.replace(output, library)
+            for stale in glob.glob(os.path.join(glob.escape(cache), f"_window.{tag}.*.so")):
+                if stale != library:
+                    # a process that loaded it keeps its mapping
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(stale)
         return ctypes.CDLL(library)
     finally:
         shutil.rmtree(cache if private else build, ignore_errors=True)

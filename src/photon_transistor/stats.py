@@ -12,9 +12,9 @@ the distinct per-shot rows; replicates are ratios of the resampled sums
 (``gain`` and ``retrieval_curve`` take the same ratios of the full-sample
 sums as point estimate).  ``retrieval_curve`` fits the decays of all
 its replicates in one batched Levenberg-Marquardt solve (``_fit_decays``)
-started at the point fit, which is still ``fit_exponential``
-(``curve_fit``).  An undefined replicate (an emptied component, a fit
-that ``fit_exponential`` would reject or that has not converged within
+started at the point fit; the point fit, ``fit_exponential``, is the
+same solver on one row.  An undefined replicate (an emptied component, a
+fit that ``fit_exponential`` would reject or that has not converged within
 the iteration cap) is NaN or infinite, is dropped by
 ``_percentile_errors`` and is counted in ``fallbacks``.  Every high/low
 component split is built by ``_component_sums`` and averaged by
@@ -38,8 +38,8 @@ from .engine import ShotRecord, shot_table
 
 DEFAULT_RESAMPLES = 1000
 _BOOTSTRAP_BLOCK = 1 << 18
-_FIT_ITERATIONS = 100   # cap of the batched replicate fits
-_FIT_STEP_TOL = 1e-12   # relative step at which a replicate fit has converged
+_FIT_ITERATIONS = 100   # cap of every exponential fit
+_FIT_STEP_TOL = 1e-12   # relative step at which an exponential fit has converged
 
 
 class FitError(RuntimeError):
@@ -392,11 +392,8 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
     if ref[0] <= 0:
         raise ValueError("zero retrieval at the reference point")
 
-    try:
-        amp_in, m_in, res = fit_exponential(xs_in[0], fractions[0])
-        amp, m_out, _ = fit_exponential(xs_out[0], fractions[0])
-    except RuntimeError as exc:
-        raise FitError(f"retrieval decay fit failed: {exc}") from exc
+    amp_in, m_in, res = fit_exponential(xs_in[0], fractions[0])
+    amp, m_out, _ = fit_exponential(xs_out[0], fractions[0])
     if not (np.isfinite(m_in) and m_in > 0):
         raise FitError("retrieval decay fit failed: non-decreasing data")
 
@@ -467,12 +464,18 @@ def g2_cross(gate_counts, source_counts, backgrounds: tuple[float, float] = (0.0
 # fits
 
 def fit_exponential(xs, ys) -> tuple[float, float, np.ndarray]:
-    """Unweighted least squares of y = A exp(-x/m) on a linear scale.
-    Returns (A, m, residuals)."""
+    """Unweighted least squares of y = A exp(-x/m) on a linear scale:
+    ``_fit_decays`` on one row, started at a line fitted to log(y).
+    Returns (A, m, residuals); raises FitError if the fit has not
+    converged within ``_FIT_ITERATIONS`` iterations."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("xs and ys must be 1-d and of equal length")
     if x.size < 3:
         raise ValueError("need at least 3 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("xs and ys must be finite")
     if np.unique(x).size != x.size:
         raise ValueError("xs must be distinct")
     pos = y > 0
@@ -483,15 +486,10 @@ def fit_exponential(xs, ys) -> tuple[float, float, np.ndarray]:
     else:
         m0 = (x.max() - x.min()) or 1.0
         a0 = float(y.max()) or 1.0
-
-    def model(xv, a, m):
-        return a * np.exp(-xv / m)
-
-    # imported on first use: it takes ~0.4 s, and only fig4ab/fig4e fit
-    from scipy.optimize import curve_fit
-    popt, _ = curve_fit(model, x, y, p0=(a0, m0), maxfev=20000)
-    a, m = float(popt[0]), float(popt[1])
-    return a, m, y - model(x, a, m)
+    [a], [m] = _fit_decays(x[None], y[None], a0, m0)
+    if math.isnan(m):
+        raise FitError(f"exponential fit not converged in {_FIT_ITERATIONS} iterations")
+    return float(a), float(m), y - a * np.exp(-x / m)
 
 
 def _fit_decays(x, y, a0, m0):

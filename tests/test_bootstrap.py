@@ -109,9 +109,11 @@ class TestPointEstimatesPinned:
         outside = (0.0, 0.6134185303514377, 1.4343434343434343,
                    2.311111111111111, 3.227272727272727)
         curve = stats.retrieval_curve(decay_points, resamples=20, seed=3)
+        # the fitted values are the converged least-squares fit, pinned when
+        # fit_exponential became the batched solver (test_point_fit_is_converged)
         assert (curve.m_s0, curve.m_s0_outside, curve.amplitude,
-                curve.residual_rms) == (3.6407073976335624, 2.425890951325195,
-                                        0.9549596376365745, 0.11871456005499469)
+                curve.residual_rms) == (3.640712266192858, 2.4258918653888872,
+                                        0.9549595414521577, 0.11871456005467088)
         assert curve.fractions == (1.0, 0.6283185840707964, 0.6725663716814159,
                                    0.20353982300884954, 0.35398230088495575)
         assert curve.source_strengths == strengths
@@ -119,8 +121,8 @@ class TestPointEstimatesPinned:
         single = stats.retrieval_curve(decay_points, condition_single=True,
                                        resamples=20, seed=3)
         assert (single.m_s0, single.m_s0_outside, single.amplitude,
-                single.residual_rms) == (3.68535424136215, 2.4502864976749814,
-                                         0.9790443257615216, 0.09935415918594555)
+                single.residual_rms) == (3.685354804118918, 2.450288816839224,
+                                         0.9790440789185479, 0.09935415918594015)
         assert single.fractions == (1.0, 0.6967723259516572, 0.6666196984641397,
                                     0.2251892046265886, 0.34869223472015176)
 
@@ -246,14 +248,28 @@ class TestUndefinedReplicates:
         assert (res.raw_err_low, res.raw_err_high) == (res.raw - lo, up - res.raw)
 
 
+def converged_decay(x, y, start):
+    """m of y = A exp(-x/m) by ``curve_fit`` run to the least-squares
+    minimum; its default tolerances stop up to 2.5e-5 (relative) short."""
+    from scipy.optimize import curve_fit
+
+    def model(xv, a, m):
+        return a * np.exp(-xv / m)
+
+    return curve_fit(model, x, y, p0=start, ftol=1e-15, xtol=1e-15, gtol=0,
+                     maxfev=20000)[0][1]
+
+
 class TestBatchedDecayFit:
     """``retrieval_curve`` fits its bootstrap replicates with one batched
-    Levenberg-Marquardt solve (``_fit_decays``) started at the point fit."""
+    Levenberg-Marquardt solve (``_fit_decays``) started at the point fit,
+    which is the same solver on one row (``fit_exponential``)."""
 
     @pytest.fixture(scope="class", params=[False, True], ids=["all", "single"])
-    def replicate_fits(self, request, decay_points):
-        """The (x, y, a0, m0) of both ``_fit_decays`` calls of a
-        1000-resample retrieval curve, intracavity then outside."""
+    def decay_fit_calls(self, request, decay_points):
+        """The (x, y, a0, m0) of every ``_fit_decays`` call of a
+        1000-resample retrieval curve: the intracavity and outside point
+        fits (``fit_exponential``, one row each), then their replicates."""
         calls, fit = [], stats._fit_decays
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stats, "_fit_decays", lambda *args: calls.append(args) or fit(*args))
@@ -261,22 +277,24 @@ class TestBatchedDecayFit:
                                   resamples=1000)
         return calls
 
-    def test_agrees_with_converged_curve_fit(self, replicate_fits):
-        from scipy.optimize import curve_fit
-
-        def model(x, a, m):
-            return a * np.exp(-x / m)
-
-        assert len(replicate_fits) == 2
-        for x, y, a0, m0 in replicate_fits:
+    def test_agrees_with_converged_curve_fit(self, decay_fit_calls):
+        assert [len(x) for x, *_ in decay_fit_calls] == [1, 1, 1000, 1000]
+        for x, y, a0, m0 in decay_fit_calls:
             m = stats._fit_decays(x, y, a0, m0)[1]
-            tight = [curve_fit(model, xb, yb, p0=(a0, m0), ftol=1e-15, xtol=1e-15,
-                               gtol=0, maxfev=20000)[0][1] for xb, yb in zip(x, y)]
-            default = [stats.fit_exponential(xb, yb)[1] for xb, yb in zip(x, y)]
+            tight = [converged_decay(xb, yb, (a0, m0)) for xb, yb in zip(x, y)]
+            point = [stats.fit_exponential(xb, yb)[1] for xb, yb in zip(x, y)]
             assert np.isfinite(m).all()
             np.testing.assert_allclose(m, tight, rtol=1e-7)
-            # curve_fit's default tolerances stop short of the minimum
-            np.testing.assert_allclose(m, default, rtol=1e-4)
+            np.testing.assert_allclose(m, point, rtol=1e-7)
+
+    @pytest.mark.parametrize("condition_single", [False, True])
+    def test_point_fit_is_converged(self, decay_points, condition_single):
+        curve = stats.retrieval_curve(decay_points, condition_single=condition_single,
+                                      resamples=20)
+        for xs, m in ((curve.source_strengths, curve.m_s0),
+                      (curve.source_strengths_outside, curve.m_s0_outside)):
+            tight = converged_decay(np.array(xs), np.array(curve.fractions), (1.0, 1.0))
+            np.testing.assert_allclose(m, tight, rtol=1e-7)
 
     def test_undefined_rows_are_nan(self, monkeypatch):
         x = np.tile([0.0, 1.0, 2.0, 3.0], (4, 1))

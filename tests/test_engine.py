@@ -361,6 +361,26 @@ class TestWindowKernel:
         run_experiment(cfg, workers=2)
         assert log.read_text().split() == [str(os.getpid())]
 
+    def test_rebuild_removes_the_older_library(self, cold_kernel_cache, monkeypatch,
+                                               tmp_path):
+        # the cache holds one library per interpreter, named by its cache tag
+        _require_kernel()
+        [first] = [p.name for p in cold_kernel_cache.iterdir()]
+        other = cold_kernel_cache / "_window.other-interpreter.0123456789abcdef.so"
+        other.write_bytes(b"")
+        edited = tmp_path / "_window.c"
+        with open(engine._KERNEL_SOURCE) as fh:
+            edited.write_text(fh.read() + "/* edited */\n")
+        monkeypatch.setattr(engine, "_KERNEL_SOURCE", str(edited))
+        engine._window_kernel.cache_clear()
+        assert engine._window_kernel() is not None
+        names = {p.name for p in cold_kernel_cache.iterdir()}
+        assert other.name in names  # another interpreter's library stays
+        [second] = names - {other.name}
+        prefix = f"_window.{sys.implementation.cache_tag}."
+        assert first.startswith(prefix) and second.startswith(prefix)
+        assert second != first
+
     def test_import_and_preset_setup_do_not_build(self):
         # what the benchmark times as setup: import, preset, reference table
         probe = ("import photon_transistor\n"

@@ -317,13 +317,30 @@ class TestG2Cross:
 
 
 class TestFits:
-    def test_package_import_leaves_scipy_optimize_unloaded(self):
-        # fit_exponential imports scipy.optimize on first use
+    def test_presets_run_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: both presets that fit run with
+        # every scipy import refused
+        code = (
+            "import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'{name} is refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from photon_transistor import presets, runner\n"
+            "for name, shots, fit in (('fig4ab', 100, 'saturation_scale'),\n"
+            "                         ('fig4e', 400, 'm_s0_intracavity')):\n"
+            "    run = runner.run_preset(presets.get_preset(name), shots, 77,\n"
+            f"                            {str(tmp_path)!r} + '/' + name)\n"
+            "    print(run.summary[fit]['value'])\n"
+            "print('scipy' in sys.modules)\n")
         src = str(Path(stats.__file__).parents[1])
-        code = "import sys, photon_transistor; print('scipy.optimize' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert done.stdout.strip() == "False"
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        *fits, scipy_loaded = done.stdout.split()
+        assert len(fits) == 2 and all(math.isfinite(float(v)) for v in fits)
+        assert scipy_loaded == "False"
 
     def test_exponential_exact_recovery(self):
         xs = np.linspace(0, 8, 15)
@@ -347,10 +364,33 @@ class TestFits:
         assert 2.5 <= decay <= 3.1
 
     def test_exponential_input_validation(self):
-        with pytest.raises(ValueError):
-            stats.fit_exponential([1.0, 2.0], [1.0, 0.5])
-        with pytest.raises(ValueError):
-            stats.fit_exponential([1.0, 1.0, 2.0], [1.0, 1.0, 0.5])
+        for xs, ys in (([1.0, 2.0], [1.0, 0.5]),                 # fewer than 3 points
+                       ([1.0, 1.0, 2.0], [1.0, 1.0, 0.5]),       # a repeated x
+                       ([0.0, math.nan, 2.0], [1.0, 0.6, 0.4]),
+                       ([0.0, 1.0, math.inf], [1.0, 0.6, 0.4]),
+                       ([0.0, 1.0, 2.0], [1.0, math.nan, 0.4]),
+                       ([0.0, 1.0, 2.0], [-math.inf, 0.6, 0.4]),
+                       ([0.0, 1.0, 2.0, 3.0], [1.0, 0.6, 0.4]),  # unequal lengths
+                       ([0.0, 1.0, 2.0], [1.0, 0.6, 0.4, 0.2])):
+            with pytest.raises(ValueError):
+                stats.fit_exponential(xs, ys)
+
+    def test_unconverged_fit_raises(self, monkeypatch):
+        # one iteration: far from its log-linear start, no fit converges;
+        # retrieval_curve passes the solver's FitError on as it is
+        monkeypatch.setattr(stats, "_FIT_ITERATIONS", 1)
+        xs = np.arange(9.0)
+        ys = np.exp(-xs / 2.0) + 0.3
+        with pytest.raises(stats.FitError) as fit_error:
+            stats.fit_exponential(xs, ys)
+        # strength x from one empty shot, retrieval fraction ~ y / 1.3
+        points = [[record(intra=int(x))] + [record(n_stored=1, retrieved=i < 100 * y, idx=i)
+                                            for i in range(1, 201)]
+                  for x, y in zip(xs, ys)]
+        with pytest.raises(stats.FitError) as curve_error:
+            stats.retrieval_curve(points, resamples=10)
+        assert str(curve_error.value) == str(fit_error.value)
+        assert curve_error.value.__cause__ is None
 
     def test_linear_rank_deficient(self):
         with pytest.raises(ValueError):
