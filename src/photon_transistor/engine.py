@@ -56,7 +56,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from . import qed
-from .qed import AtomParams, CavityParams, CooperativityModel, ETA_FLOOR
+from .qed import AtomParams, CavityParams, CooperativityModel, ETA_FLOOR, check_range
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,8 @@ class TimingSequence:
     hold_before_retrieval: float
 
     def __post_init__(self):
-        for name in ("storage_ramp", "hold_before_source",
-                     "source_window", "hold_before_retrieval"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"TimingSequence.{name} must be >= 0")
+        check_range(self, "storage_ramp hold_before_source source_window "
+                          "hold_before_retrieval")
 
     @property
     def total_storage_time(self) -> float:
@@ -98,12 +96,8 @@ class GatePulse:
     retrieval_efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.mean_incident_photons < 0:
-            raise ValueError("GatePulse.mean_incident_photons must be >= 0")
-        if not 0.0 <= self.storage_efficiency <= 1.0:
-            raise ValueError("GatePulse.storage_efficiency must be in [0, 1]")
-        if not 0.0 <= self.retrieval_efficiency <= 1.0:
-            raise ValueError("GatePulse.retrieval_efficiency must be in [0, 1]")
+        check_range(self, "mean_incident_photons")
+        check_range(self, "storage_efficiency retrieval_efficiency", hi=1.0)
 
     @property
     def stored_mean(self) -> float:
@@ -153,8 +147,8 @@ class SourceDrive:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if self.mean_source_photons < 0:
-            raise ValueError("SourceDrive.mean_source_photons must be >= 0")
+        check_range(self, "mean_source_photons")
+        check_range(self, "detuning", lo=-math.inf)
 
 
 @dataclass(frozen=True)
@@ -167,10 +161,7 @@ class PumpingModel:
     eta_ratio_after_hop: float
 
     def __post_init__(self):
-        if not 0.0 <= self.hop_prob_per_scatter <= 1.0:
-            raise ValueError("PumpingModel.hop_prob_per_scatter must be in [0, 1]")
-        if not 0.0 <= self.eta_ratio_after_hop <= 1.0:
-            raise ValueError("PumpingModel.eta_ratio_after_hop must be in [0, 1]")
+        check_range(self, "hop_prob_per_scatter eta_ratio_after_hop", hi=1.0)
 
 
 @dataclass(frozen=True)
@@ -185,12 +176,8 @@ class DetectionChain:
     source_dark_rate: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.gate_path_efficiency <= 1.0:
-            raise ValueError("DetectionChain.gate_path_efficiency must be in [0, 1]")
-        if not 0.0 <= self.source_path_efficiency <= 1.0:
-            raise ValueError("DetectionChain.source_path_efficiency must be in [0, 1]")
-        if self.gate_dark_rate < 0 or self.source_dark_rate < 0:
-            raise ValueError("DetectionChain dark rates must be >= 0")
+        check_range(self, "gate_path_efficiency source_path_efficiency", hi=1.0)
+        check_range(self, "gate_dark_rate source_dark_rate")
 
 
 class ShotRecord(NamedTuple):
@@ -404,8 +391,9 @@ def _load_kernel() -> ctypes.CDLL:
     library is built in a private temporary directory, removed once it
     is loaded.  A new library is written under a temporary name and
     renamed into place, so a concurrent process never loads a
-    half-written file; then the interpreter's older libraries are
-    removed, so the cache holds one library per interpreter."""
+    half-written file; then the interpreter's older libraries, and the
+    untagged ``_window.<key>.so`` of earlier versions, are removed, so the
+    cache holds one library per interpreter."""
     import glob
     import hashlib
     import sysconfig
@@ -431,11 +419,16 @@ def _load_kernel() -> ctypes.CDLL:
                               "libnpyrandom.a"), "-lm"],
                 check=True, capture_output=True)
             os.replace(output, library)
-            for stale in glob.glob(os.path.join(glob.escape(cache), f"_window.{tag}.*.so")):
-                if stale != library:
+            # the untagged key is exactly 16 hex digits, so that no other
+            # interpreter's _window.<cache tag>.<key>.so matches
+            escaped = glob.escape(cache)
+            stale = glob.glob(os.path.join(escaped, f"_window.{tag}.*.so"))
+            stale += glob.glob(os.path.join(escaped, "_window." + "[0-9a-f]" * 16 + ".so"))
+            for old in stale:
+                if old != library:
                     # a process that loaded it keeps its mapping
                     with contextlib.suppress(FileNotFoundError):
-                        os.remove(stale)
+                        os.remove(old)
         return ctypes.CDLL(library)
     finally:
         shutil.rmtree(cache if private else build, ignore_errors=True)

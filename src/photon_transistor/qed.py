@@ -35,6 +35,19 @@ import numpy as np
 ETA_FLOOR = 1e-12
 
 
+def check_range(obj, names: str, lo: float = 0.0, hi: float = math.inf,
+                low_open: bool = False) -> None:
+    """Raise ValueError naming ``<Class>.<field>`` unless each field of
+    ``obj`` in the space-separated ``names`` is finite and in [lo, hi],
+    or in (lo, hi] with ``low_open``.  NaN and +-inf always fail."""
+    for name in names.split():
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and (lo < value if low_open else lo <= value)
+                and value <= hi):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite and in "
+                             f"{'(' if low_open else '['}{lo:g}, {hi:g}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Static cavity properties.
@@ -49,12 +62,8 @@ class CavityParams:
     mirror_loss: float
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError("CavityParams.kappa must be > 0")
-        if not self.mirror_transmission > 0:
-            raise ValueError("CavityParams.mirror_transmission must be > 0")
-        if self.mirror_loss < 0:
-            raise ValueError("CavityParams.mirror_loss must be >= 0")
+        check_range(self, "kappa mirror_transmission", low_open=True)
+        check_range(self, "mirror_loss")
 
     @property
     def outcoupling(self) -> float:
@@ -79,14 +88,8 @@ class AtomParams:
     optical_depth: float = 0.9
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("AtomParams.gamma must be > 0")
-        if self.eta0 < 0:
-            raise ValueError("AtomParams.eta0 must be >= 0")
-        if not self.tau_spinwave > 0:
-            raise ValueError("AtomParams.tau_spinwave must be > 0")
-        if self.optical_depth < 0:
-            raise ValueError("AtomParams.optical_depth must be >= 0")
+        check_range(self, "gamma tau_spinwave", low_open=True)
+        check_range(self, "eta0 optical_depth")
 
 
 @dataclass(frozen=True)
@@ -110,23 +113,21 @@ class CooperativityModel:
     levels: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.eta0 < 0:
-            raise ValueError("CooperativityModel.eta0 must be >= 0")
-        if not 0.0 < self.geometric_weight <= 1.0:
-            raise ValueError("CooperativityModel.geometric_weight must be in (0, 1]")
+        check_range(self, "eta0")
+        check_range(self, "geometric_weight", hi=1.0, low_open=True)
         if self.levels is not None:
             if len(self.levels) == 0:
                 raise ValueError("CooperativityModel.levels must not be empty")
             total = 0.0
+            # written so that NaN fails every comparison
             for eta, prob in self.levels:
-                if eta < 0 or eta > self.eta0:
-                    raise ValueError(
-                        "CooperativityModel.levels etas must lie in [0, eta0]")
-                if prob < 0:
-                    raise ValueError("CooperativityModel.levels probabilities must be >= 0")
+                if not (0 <= eta <= self.eta0 and prob >= 0):
+                    raise ValueError("CooperativityModel.levels need etas in [0, eta0] and "
+                                     f"probabilities >= 0, got {eta!r}:{prob!r}")
                 total += prob
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError("CooperativityModel.levels probabilities must sum to 1")
+            if not abs(total - 1.0) <= 1e-9:
+                raise ValueError("CooperativityModel.levels probabilities must sum to 1, "
+                                 f"got {total!r}")
 
 
 class EffectiveCooperativities(NamedTuple):

@@ -140,6 +140,15 @@ class TestCliEntrypoints:
         assert "need at least 2 shots per detuning" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_non_finite_config_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "inf.cfg"
+        cfg_path.write_text("[atoms]\neta0 = inf\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "AtomParams.eta0" in err
+        assert not out.exists()
+
     def test_run_missing_config_file(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path)])

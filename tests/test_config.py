@@ -165,6 +165,24 @@ class TestErrors:
         with pytest.raises(ConfigError, match="levels"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [row for row in FIELDS if type(row[5]) is float],
+                             ids=lambda row: row[1])
+    def test_non_finite_number_names_field(self, tmp_path, row, text):
+        section, key, part, name = row[:4]
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        field = f"{type(getattr(default_config(), part)).__name__}.{name}"
+        with pytest.raises(ConfigError, match=rf"{re.escape(field)} must be finite"):
+            load_config(path)
+
+    @pytest.mark.parametrize("levels", ["nan:1.0", "1.0:nan"])
+    def test_non_finite_level_names_field(self, tmp_path, levels):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[cooperativity]\nlevels = {levels}\n")
+        with pytest.raises(ConfigError, match=r"CooperativityModel\.levels"):
+            load_config(path)
+
 
 class TestLevels:
     def test_levels_parse_and_round_trip(self, tmp_path):

@@ -366,8 +366,11 @@ class TestWindowKernel:
         # the cache holds one library per interpreter, named by its cache tag
         _require_kernel()
         [first] = [p.name for p in cold_kernel_cache.iterdir()]
-        other = cold_kernel_cache / "_window.other-interpreter.0123456789abcdef.so"
+        # another interpreter's tag starts with a hex letter, as "cpython-" does
+        other = cold_kernel_cache / "_window.cpython-27.0123456789abcdef.so"
         other.write_bytes(b"")
+        untagged = cold_kernel_cache / "_window.0123456789abcdef.so"  # earlier versions
+        untagged.write_bytes(b"")
         edited = tmp_path / "_window.c"
         with open(engine._KERNEL_SOURCE) as fh:
             edited.write_text(fh.read() + "/* edited */\n")
@@ -376,6 +379,7 @@ class TestWindowKernel:
         assert engine._window_kernel() is not None
         names = {p.name for p in cold_kernel_cache.iterdir()}
         assert other.name in names  # another interpreter's library stays
+        assert untagged.name not in names
         [second] = names - {other.name}
         prefix = f"_window.{sys.implementation.cache_tag}."
         assert first.startswith(prefix) and second.startswith(prefix)

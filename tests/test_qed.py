@@ -242,6 +242,9 @@ class TestParameterValidation:
             CooperativityModel(eta0=2.0, levels=((3.0, 1.0),))
         with pytest.raises(ValueError, match="empty"):
             CooperativityModel(eta0=2.0, levels=())
+        for levels in (((math.nan, 1.0),), ((1.0, math.nan),), ((1.0, 0.5), (2.0, math.nan))):
+            with pytest.raises(ValueError, match="CooperativityModel.levels"):
+                CooperativityModel(eta0=8.6, levels=levels)
 
     def test_mixture_construction_errors(self):
         with pytest.raises(ValueError):
