@@ -21,21 +21,28 @@ configuration is constant, so the index of the next scattering photon is
 geometric in S and the transmitted count among the intervening photons
 is binomial in T/(1-S).  This reproduces the per-photon process
 distribution at a cost proportional to the number of scattering events.
+The configuration changes only at a pumping hop, so the total
+cooperativity, T and S are computed once per configuration, not once per
+scattering event.
 
 Every shot draws from its own counter-based random stream keyed by
 (master_seed, shot_index), so results are independent of execution order
 and identical for serial and parallel runs.
 
-Resonant windows with blocking atoms (detuning 0, at least one stored
-excitation), nearly all of the simulation time at strong source beams,
-run in a small C kernel, ``_window.c``.  It repeats the Python loop
-branch for branch with the same float expressions, and it draws
-from the shot's own bit generator through the numpy distribution
-functions (``libnpyrandom``) that ``Generator`` itself calls, so the
-stream and every result are unchanged.  The kernel is compiled on first
-use with the system C compiler and cached in the package's
-``__pycache__``; detuned windows, empty cavities, and any run where it
-cannot be built use the Python loop, with identical results.
+Windows with blocking atoms that are resonant (detuning 0) or have no
+pumping hops, nearly all of the simulation time at strong source beams
+and on the detuned spectra, run in a small C kernel, ``_window.c``.  It
+repeats the Python loop branch for branch with the same float
+expressions, and it draws from the shot's own bit generator through the
+numpy distribution functions (``libnpyrandom``) that ``Generator``
+itself calls, so the stream and every result are unchanged.  A detuned
+window's T and S come from the complex dispersive spectrum, computed in
+Python and passed to the kernel, so no complex arithmetic is ported;
+windows that are both detuned and pumped therefore stay in Python.  The
+kernel is compiled on first use with the system C compiler and cached in
+the package's ``__pycache__``; those windows, empty cavities, and any
+run where it cannot be built use the Python loop, with identical
+results.
 """
 
 from __future__ import annotations
@@ -238,16 +245,17 @@ def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
 
 
 def _rekey_shot_stream(scratch, master_seed: int, shot_index: int) -> np.random.Generator:
-    """Reuse one Philox instance across shots by assigning it a fresh state:
+    """Reuse one Philox instance across shots by assigning it a fresh state
+    (``scratch`` is the Philox, its Generator and its ``_bitgen_address``):
     key (shot_index, master_seed), zero counter, empty buffer.  Yields the
     same stream as a fresh shot_rng() but without per-shot construction
     cost, and without reading the old state back."""
-    bitgen, gen = scratch
+    bitgen = scratch[0]
     bitgen.state = {"bit_generator": "Philox",
                     "state": {"counter": (0, 0, 0, 0), "key": (shot_index, master_seed)},
                     "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                     "has_uint32": 0, "uinteger": 0}
-    return gen
+    return scratch[1]
 
 
 def sample_gate_storage(gate: GatePulse, coop: CooperativityModel,
@@ -280,9 +288,45 @@ def _transmission_and_scatter(delta: float, total_eta: float,
     return t, (s if s < 1.0 - t else 1.0 - t)
 
 
+def _window_probabilities(delta: float, total_eta: float, cavity: CavityParams,
+                          atoms: AtomParams) -> tuple[float, float]:
+    """T and S of a window whose blockers add up to ``total_eta``: those of
+    ``_transmission_and_scatter``, or, at or below ``ETA_FLOOR``, the
+    empty cavity's T (1 on resonance, where it is not drawn) and S = 0.
+    The guard is written so that a NaN total takes the first branch."""
+    if not total_eta <= ETA_FLOOR:
+        return _transmission_and_scatter(delta, total_eta, cavity, atoms)
+    if delta == 0.0:
+        return 1.0, 0.0
+    return qed.cavity_transmission_spectrum(delta, (), cavity, atoms), 0.0
+
+
+def _kernel_can_run(source: SourceDrive, pumping: PumpingModel) -> bool:
+    """Whether the kernel runs the windows with stored excitations of this
+    source and pumping: resonant ones, and detuned ones without pumping
+    hops, whose T and S stay constant over the window."""
+    return source.detuning == 0.0 or pumping.hop_prob_per_scatter == 0.0
+
+
+class _Address(ctypes.c_void_p):
+    """A ``bitgen_t *``; as a subclass, ctypes returns it unconverted."""
+
+
+# its own function object: ctypes.pythonapi's is shared with other code
+_capsule_pointer = ctypes.PYFUNCTYPE(_Address, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _bitgen_address(bit_generator: np.random.BitGenerator) -> _Address:
+    """The address of ``bit_generator``'s ``bitgen_t``, for the kernel to
+    draw from; read from its capsule in about 0.5 us, where numpy's
+    ``bit_generator.ctypes`` costs about 18 us on first use."""
+    return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+
+
 def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingModel,
                          cavity: CavityParams, atoms: AtomParams,
-                         rng: np.random.Generator) -> tuple[int, SpinWave]:
+                         rng: np.random.Generator, _address=None) -> tuple[int, SpinWave]:
     """Send the source beam through the cavity for one window.
 
     Draws a Poissonian number of incident photons with mean
@@ -294,35 +338,45 @@ def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingMo
     scattered (chosen with probability proportional to its
     cooperativity).
 
-    Resonant windows with stored excitations run in the compiled kernel
-    when it is available, the rest in ``_evolve_source_window_py``; both
-    give the same result from the same stream.
+    Windows with stored excitations that are resonant or have no pumping
+    hops run in the compiled kernel when it is available (a detuned one
+    with T and S computed here), the rest in ``_evolve_source_window_py``;
+    both give the same result from the same stream.  ``_address`` is the
+    ``_bitgen_address`` of ``rng``'s bit generator, read here when None.
 
     Returns (transmitted_count, updated spin).
     """
-    kernel = _window_kernel() if source.detuning == 0.0 and spin.n_exc > 0 else None
+    kernel = _window_kernel() if spin.n_exc > 0 and _kernel_can_run(source, pumping) else None
     if kernel is None:
         return _evolve_source_window_py(spin, source, pumping, cavity, atoms, rng)
     n_attempt = int(rng.poisson(source.mean_source_photons))
     if n_attempt == 0:
         return 0, spin
+    delta = source.detuning
+    # a resonant window computes its own T and S in the kernel
+    t, s = ((0.0, 0.0) if delta == 0.0 else
+            _window_probabilities(delta, spin.total_eta(), cavity, atoms))
     n = len(spin.etas)
-    # the argument layout of resonant_window in _window.c
+    # the argument layout of source_window in _window.c
     counts = (ctypes.c_int64 * 4)(n_attempt, n)
-    values = (ctypes.c_double * (n + 3))(pumping.hop_prob_per_scatter,
-                                          pumping.eta_ratio_after_hop, ETA_FLOOR, *spin.etas)
-    transmitted = kernel(rng.bit_generator.ctypes.bit_generator, counts, values)
+    values = (ctypes.c_double * (n + 6))(pumping.hop_prob_per_scatter,
+                                          pumping.eta_ratio_after_hop, ETA_FLOOR,
+                                          delta, t, s, *spin.etas)
+    transmitted = kernel(_address or _bitgen_address(rng.bit_generator), counts, values)
     if transmitted < 0:
         # the kernel stopped before a draw numpy rejects: make it here, so
         # that the Generator raises its own error
-        rng.geometric(values[0])
-        raise RuntimeError(f"window kernel rejected geometric({values[0]!r})")
+        if transmitted == _REJECTED_GEOMETRIC:
+            rng.geometric(values[0])
+        else:
+            rng.binomial(counts[0], values[0])
+        raise RuntimeError(f"window kernel rejected a draw at p = {values[0]!r}")
     if counts[2]:
         spin.n_scatters += counts[2]
         if spin.first_scatter_photon is None:
             spin.first_scatter_photon = counts[3]
         spin.coherent = False
-        spin.etas[:] = values[3:]
+        spin.etas[:] = values[6:]
     return transmitted, spin
 
 
@@ -330,22 +384,23 @@ def _evolve_source_window_py(spin: SpinWave, source: SourceDrive, pumping: Pumpi
                              cavity: CavityParams, atoms: AtomParams,
                              rng: np.random.Generator) -> tuple[int, SpinWave]:
     """``evolve_source_window`` in Python: the reference for the compiled
-    kernel, and the engine for every window the kernel does not run."""
+    kernel, and the engine for every window the kernel does not run.  The
+    total cooperativity, T and S are computed once per blocking
+    configuration, so again only after a pumping hop."""
     n_attempt = int(rng.poisson(source.mean_source_photons))
     delta = source.detuning
+    total = spin.total_eta()
+    t, s = _window_probabilities(delta, total, cavity, atoms)
     transmitted = 0
     remaining = n_attempt
     processed = 0
     while remaining > 0:
-        total = spin.total_eta()
         if total <= ETA_FLOOR:
             if delta == 0.0:
                 transmitted += remaining
             else:
-                t_empty = qed.cavity_transmission_spectrum(delta, (), cavity, atoms)
-                transmitted += int(rng.binomial(remaining, t_empty))
+                transmitted += int(rng.binomial(remaining, t))
             break
-        t, s = _transmission_and_scatter(delta, total, cavity, atoms)
         if s < 1e-300:
             transmitted += int(rng.binomial(remaining, t))
             break
@@ -361,18 +416,20 @@ def _evolve_source_window_py(spin: SpinWave, source: SourceDrive, pumping: Pumpi
         if spin.first_scatter_photon is None:
             spin.first_scatter_photon = processed
         spin.coherent = False
-        # scattering atom chosen proportionally to its cooperativity
         pick = rng.random() * total
-        acc = 0.0
-        j = 0
-        for j, eta in enumerate(spin.etas):
-            acc += eta
-            if pick <= acc:
-                break
         if pumping.hop_prob_per_scatter > 0.0 and (
                 pumping.hop_prob_per_scatter >= 1.0
                 or rng.random() < pumping.hop_prob_per_scatter):
+            # scattering atom chosen proportionally to its cooperativity
+            acc = 0.0
+            j = 0
+            for j, eta in enumerate(spin.etas):
+                acc += eta
+                if pick <= acc:
+                    break
             spin.etas[j] *= pumping.eta_ratio_after_hop
+            total = spin.total_eta()
+            t, s = _window_probabilities(delta, total, cavity, atoms)
     return transmitted, spin
 
 
@@ -381,6 +438,7 @@ _KERNEL_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _CC = "cc"
 # no fused multiply-add, so every float result equals the Python loop's
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_REJECTED_GEOMETRIC = -1  # and -2 for a binomial, as REJECTED_* in _window.c
 
 
 def _load_kernel() -> ctypes.CDLL:
@@ -436,11 +494,11 @@ def _load_kernel() -> ctypes.CDLL:
 
 @functools.cache
 def _window_kernel():
-    """The compiled resonant window as a ctypes function, built on first
+    """The compiled source window as a ctypes function, built on first
     use; None when it cannot be built or loaded, and windows run in
     Python."""
     try:
-        kernel = _load_kernel().resonant_window
+        kernel = _load_kernel().source_window
     except (OSError, subprocess.SubprocessError):
         return None
     kernel.restype = ctypes.c_int64
@@ -488,14 +546,15 @@ def detect(true_count: int, window: float, efficiency: float, dark_rate: float,
 def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord:
     """One full repetition, fully determined by (master_seed, shot_index)."""
     if _scratch is None:
-        rng = shot_rng(config.master_seed, shot_index)
+        rng, address = shot_rng(config.master_seed, shot_index), None
     else:
         rng = _rekey_shot_stream(_scratch, config.master_seed, shot_index)
+        address = _scratch[2]
     spin = sample_gate_storage(config.gate, config.coop, rng)
     n_stored = spin.n_exc
     spin = apply_spin_decay(spin, config.timing.total_storage_time, config.atoms, rng)
     transmitted, spin = evolve_source_window(
-        spin, config.source, config.pumping, config.cavity, config.atoms, rng)
+        spin, config.source, config.pumping, config.cavity, config.atoms, rng, address)
     outside = int(rng.binomial(transmitted, config.cavity.outcoupling))
     retrieved = False
     if config.retrieval_mode:
@@ -514,7 +573,7 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord:
 def _run_range(args) -> np.recarray:
     config, start, stop = args
     bitgen = np.random.Philox(key=0)  # rekeyed for every shot
-    scratch = (bitgen, np.random.Generator(bitgen))
+    scratch = (bitgen, np.random.Generator(bitgen), _bitgen_address(bitgen))
     return shot_table(run_shot(config, i, scratch) for i in range(start, stop))
 
 
@@ -539,7 +598,7 @@ def run_experiment(config: RunConfig, workers: int = 1) -> np.recarray:
         return _run_range((config, 0, n))
     # with workers <= n, the chunking below makes at least `workers` chunks
     workers = bound_workers(workers, n)
-    if config.source.detuning == 0.0:
+    if _kernel_can_run(config.source, config.pumping):
         _window_kernel()  # built here once, not in every worker
     chunk = max(1, math.ceil(n / (workers * 4)))
     ranges = [(config, s, min(s + chunk, n)) for s in range(0, n, chunk)]

@@ -238,6 +238,11 @@ def test_total_eta_adds_left_to_right():
     assert SpinWave(3, [1.0, 1e-16, 1e-16]).total_eta() == 1.0
 
 
+def test_bitgen_address_is_the_ctypes_address():
+    bitgen = np.random.Philox(key=5)
+    assert engine._bitgen_address(bitgen).value == bitgen.ctypes.bit_generator.value
+
+
 def _assert_windows_equal(etas, source, pumping, rng):
     """The kernel and the Python loop, from equal spins and streams, give
     the same window and leave the stream in the same state."""
@@ -252,8 +257,58 @@ def _assert_windows_equal(etas, source, pumping, rng):
     assert repr(rng.bit_generator.state) == repr(rng_py.bit_generator.state)
 
 
+DETUNED = 2 * math.pi * 0.5e6  # half a cavity linewidth
+
+
+RANDOM_WINDOWS = given(
+    eta0=st.floats(0.0, 20.0),
+    levels=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+    standing_wave=st.booleans(),
+    stored=st.floats(0.0, 40.0),
+    photons=st.floats(0.0, 3000.0),
+    detuning=st.one_of(st.just(0.0), st.floats(-1e8, 1e8)),
+    hop_prob=st.one_of(st.just(0.0), st.floats(0.01, 0.99), st.just(1.0)),
+    hop_ratio=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
+    dark=st.floats(0.0, 1e6),
+    retrieval=st.booleans(),
+    seed=st.integers(0, 2 ** 64 - 1))
+
+
+def _check_random_windows(eta0, levels, standing_wave, stored, photons, detuning,
+                          hop_prob, hop_ratio, dark, retrieval, seed):
+    """Random configs run equal windows and shots through both engines."""
+    if levels is not None:  # two levels, eta0 and a fraction of it
+        levels = ((eta0, levels[1]), (eta0 * levels[0], 1.0 - levels[1]))
+    cfg = base_config(
+        coop=CooperativityModel(eta0, standing_wave, 1.0, levels),
+        gate=GatePulse(stored, 1.0, 1.0), source=SourceDrive(photons, detuning),
+        pumping=PumpingModel(hop_prob, hop_ratio),
+        detection=DetectionChain(0.7, 0.5, dark, dark),
+        n_shots=3, master_seed=seed, retrieval_mode=retrieval)
+    for i in range(cfg.n_shots):
+        spin = sample_gate_storage(cfg.gate, cfg.coop, shot_rng(seed, i))
+        _assert_windows_equal(spin.etas, cfg.source, cfg.pumping, shot_rng(seed, i))
+    with _python_windows():
+        expected = [run_shot(cfg, i) for i in range(cfg.n_shots)]
+    assert [run_shot(cfg, i) for i in range(cfg.n_shots)] == expected
+
+
+# _check_random_windows in a fresh interpreter whose window kernel is built
+# with UndefinedBehaviorSanitizer into the directory argv[2], every report
+# fatal; a report ends that interpreter, so its stderr can be shown
+SANITIZED_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_engine as t
+t.engine._KERNEL_CACHE = sys.argv[2]
+t.engine._CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+assert t.engine._window_kernel() is not None, "the sanitized kernel did not build"
+t.settings(max_examples=40, deadline=None)(t.RANDOM_WINDOWS(t._check_random_windows))()
+"""
+
+
 class TestWindowKernel:
-    """The compiled resonant window against the Python loop."""
+    """The compiled source window against the Python loop."""
 
     @pytest.mark.parametrize("etas", [
         [1e-12, 8e-29, 8e-29],  # at ETA_FLOOR only when added left to right
@@ -264,8 +319,10 @@ class TestWindowKernel:
                                          PumpingModel(1.0, 0.5)])
     def test_hand_built_windows_equal_python(self, etas, pumping):
         _require_kernel()
-        for i in range(20):
-            _assert_windows_equal(etas, SourceDrive(500.0), pumping, shot_rng(3, i))
+        for delta in (0.0, DETUNED):
+            for i in range(20):
+                _assert_windows_equal(etas, SourceDrive(500.0, delta), pumping,
+                                      shot_rng(3, i))
 
     @pytest.mark.parametrize("name", [*presets.PRESET_BUILDERS, "custom"])
     def test_preset_points_equal_python(self, name):
@@ -277,46 +334,37 @@ class TestWindowKernel:
             expected = runner.run_preset_points(configs)
         for cfg, table in zip(configs, expected):
             assert np.array_equal(run_experiment(cfg), table)
-            if cfg.source.detuning == 0.0:
-                assert np.array_equal(run_experiment(cfg, workers=2), table)
+            assert np.array_equal(run_experiment(cfg, workers=2), table)
 
     @settings(max_examples=60, deadline=None)
-    @given(eta0=st.floats(0.0, 20.0),
-           levels=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
-           standing_wave=st.booleans(),
-           stored=st.floats(0.0, 40.0),
-           photons=st.floats(0.0, 3000.0),
-           hop_prob=st.one_of(st.just(0.0), st.floats(0.01, 0.99), st.just(1.0)),
-           hop_ratio=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
-           dark=st.floats(0.0, 1e6),
-           retrieval=st.booleans(),
-           seed=st.integers(0, 2 ** 64 - 1))
+    @RANDOM_WINDOWS
     @example(eta0=3.3, levels=None, standing_wave=False, stored=2.0, photons=200.0,
-             hop_prob=0.5, hop_ratio=0.0, dark=0.0, retrieval=True, seed=1)
-    def test_random_windows_equal_python(self, eta0, levels, standing_wave, stored,
-                                         photons, hop_prob, hop_ratio, dark, retrieval,
-                                         seed):
+             detuning=0.0, hop_prob=0.5, hop_ratio=0.0, dark=0.0, retrieval=True, seed=1)
+    @example(eta0=3.3, levels=None, standing_wave=False, stored=2.0, photons=200.0,
+             detuning=DETUNED, hop_prob=0.0, hop_ratio=0.0, dark=0.0, retrieval=True,
+             seed=1)
+    def test_random_windows_equal_python(self, **window):
         _require_kernel()
-        if levels is not None:  # two levels, eta0 and a fraction of it
-            levels = ((eta0, levels[1]), (eta0 * levels[0], 1.0 - levels[1]))
-        cfg = base_config(
-            coop=CooperativityModel(eta0, standing_wave, 1.0, levels),
-            gate=GatePulse(stored, 1.0, 1.0), source=SourceDrive(photons),
-            pumping=PumpingModel(hop_prob, hop_ratio),
-            detection=DetectionChain(0.7, 0.5, dark, dark),
-            n_shots=3, master_seed=seed, retrieval_mode=retrieval)
-        for i in range(cfg.n_shots):
-            spin = sample_gate_storage(cfg.gate, cfg.coop, shot_rng(seed, i))
-            _assert_windows_equal(spin.etas, cfg.source, cfg.pumping, shot_rng(seed, i))
-        with _python_windows():
-            expected = [run_shot(cfg, i) for i in range(cfg.n_shots)]
-        assert [run_shot(cfg, i) for i in range(cfg.n_shots)] == expected
+        _check_random_windows(**window)
+
+    def test_sanitized_random_windows_equal_python(self, tmp_path):
+        _require_compiler()
+        done = subprocess.run(
+            [sys.executable, "-c", SANITIZED_RUN, os.path.dirname(__file__),
+             str(tmp_path / "cache")],
+            capture_output=True, text=True, cwd=tmp_path, timeout=600,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert done.returncode == 0, done.stderr[-4000:]
 
     @pytest.mark.parametrize("etas, source, pumping, match", [
         ([2.0], SourceDrive(1e19), NO_PUMP, "lam value too large"),
         ([math.nan, 1.0], SourceDrive(50.0), NO_PUMP, "p <= 0, p > 1"),
         # the hop turns the infinite cooperativity into NaN
         ([math.inf, 1.0], SourceDrive(50.0), KILL_ON_SCATTER, "p <= 0, p > 1"),
+        ([2.0], SourceDrive(1e19, DETUNED), NO_PUMP, "lam value too large"),
+        ([math.nan, 1.0], SourceDrive(50.0, DETUNED), NO_PUMP, "p <= 0, p > 1"),
+        # at this detuning the empty-cavity T is NaN: 2j * delta overflows
+        ([1e-13], SourceDrive(50.0, 1e308), NO_PUMP, "p < 0, p > 1 or p is NaN"),
     ])
     def test_raises_what_the_generator_raises(self, etas, source, pumping, match):
         _require_kernel()
@@ -329,12 +377,14 @@ class TestWindowKernel:
         assert errors[0] == errors[1]
 
     def test_missing_compiler_falls_back_to_python(self, cold_kernel_cache, monkeypatch):
-        cfg = base_config(n_shots=200, source=SourceDrive(300.0),
-                          pumping=PumpingModel(0.5, 0.8))
+        configs = [base_config(n_shots=200, source=SourceDrive(300.0),
+                               pumping=PumpingModel(0.5, 0.8)),
+                   base_config(n_shots=200, source=SourceDrive(300.0, DETUNED))]
         with _python_windows():
-            expected = run_experiment(cfg)
+            expected = [run_experiment(cfg) for cfg in configs]
         monkeypatch.setattr(engine, "_CC", str(cold_kernel_cache / "no-such-cc"))
-        assert np.array_equal(run_experiment(cfg), expected)
+        for cfg, table in zip(configs, expected):
+            assert np.array_equal(run_experiment(cfg), table)
         assert engine._window_kernel() is None
         assert list(cold_kernel_cache.iterdir()) == []
 
@@ -357,9 +407,12 @@ class TestWindowKernel:
                       f'exec "{shutil.which(engine._CC)}" "$@"\n')
         cc.chmod(0o755)
         monkeypatch.setattr(engine, "_CC", str(cc))
-        cfg = base_config(n_shots=400, source=SourceDrive(300.0))
-        run_experiment(cfg, workers=2)
-        assert log.read_text().split() == [str(os.getpid())]
+        for delta in (0.0, DETUNED):  # each from a cold cache
+            monkeypatch.setattr(engine, "_KERNEL_CACHE", str(tmp_path / f"cache{delta}"))
+            engine._window_kernel.cache_clear()
+            run_experiment(base_config(n_shots=400, source=SourceDrive(300.0, delta)),
+                           workers=2)
+        assert log.read_text().split() == [str(os.getpid())] * 2
 
     def test_rebuild_removes_the_older_library(self, cold_kernel_cache, monkeypatch,
                                                tmp_path):
