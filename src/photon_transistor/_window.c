@@ -1,25 +1,122 @@
-/* Source window with blocking atoms, compiled.
+/* One shot, and its source window with blocking atoms, compiled.
  *
- * The loop of engine._evolve_source_window_py once the incident photon
- * number is drawn, branch for branch: the same float expressions in the
- * same order, and the same numpy distribution functions (libnpyrandom)
- * that numpy's Generator calls, drawing from the shot's own bit
- * generator.  A window run here therefore consumes the stream exactly as
- * the Python loop does and returns the same numbers.  Build with
- * -ffp-contract=off so that no multiply-add is fused.
+ * shot runs a whole repetition of engine._run_shot_py: gate storage,
+ * spin-wave decay, the source window, outcoupling, retrieval and the two
+ * counting chains.  engine.run_shot calls it for every shot whose source
+ * is resonant or has no pumping hops (engine._kernel_can_run), which is
+ * every shot of the presets: the Python around one kernel call per window
+ * used to cost several times the kernel.  It keys its own Philox4x64-10
+ * stream from (master_seed, shot_index) exactly as engine.shot_rng keys
+ * numpy's, and makes every draw in the same order through the numpy
+ * distribution functions (libnpyrandom) that numpy's Generator calls, so
+ * a shot run here consumes the same random numbers and returns the same
+ * record.  Every float expression is the Python one, in the same order;
+ * build with -ffp-contract=off so that no multiply-add is fused.  The
+ * Python engine stays, as the reference the tests compare this file
+ * against and as the fallback where no compiler is found.
  *
- * A resonant window (delta == 0) computes its transmission T and
- * scattering probability S from the total cooperativity, once at the
- * start and again after every pumping hop.  A detuned window takes T and
- * S from the caller, computed by engine._transmission_and_scatter (or the
- * empty-cavity T at or below the floor), so no complex arithmetic is
- * ported; it must have no pumping hops, which would change them.
+ * source_window is the loop of engine._evolve_source_window_py once the
+ * incident photon number is drawn, branch for branch, drawing from the
+ * caller's bit generator; shot calls it too.  A resonant window
+ * (delta == 0) computes its transmission T and scattering probability S
+ * from the total cooperativity, once at the start and again after every
+ * pumping hop.  A detuned window takes T and S from the caller; it must
+ * have no pumping hops, which would change them.  shot computes them
+ * with window_probabilities, a real-arithmetic port of CPython's complex
+ * operations in qed.cavity_transmission_spectrum.
+ *
+ * Where numpy's Generator would reject a draw, these functions stop
+ * before making it and say so; the caller reruns the shot or the window
+ * in Python, where the Generator raises its own error.
  */
+#include <math.h>
 #include "numpy/random/distributions.h"
 
-/* return values for a draw that numpy's Generator rejects */
+/* return values of source_window for a draw that numpy's Generator rejects */
 #define REJECTED_GEOMETRIC (-1)
 #define REJECTED_BINOMIAL (-2)
+/* return value of shot when a draw is rejected or the etas do not fit */
+#define SHOT_IN_PYTHON 1
+
+/* the largest Poisson mean numpy's Generator accepts, computed as numpy does */
+#define POISSON_LAM_MAX ((double)INT64_MAX - sqrt((double)INT64_MAX) * 10)
+/* math.pi */
+#define PI 3.141592653589793
+
+/* ---- the shot's stream: numpy's Philox4x64-10 with its buffering ---- */
+
+typedef struct {
+    uint64_t counter[4], key[2], buffer[4];
+    int buffer_pos, has_uint32;
+    uint32_t uinteger;
+} philox_t;
+
+/* numpy.random.Philox(key=(master_seed << 64) | shot_index), fresh */
+static void philox_seed(philox_t *st, uint64_t master_seed, uint64_t shot_index)
+{
+    *st = (philox_t){.key = {shot_index, master_seed}, .buffer_pos = 4};
+}
+
+static uint64_t philox_next64(void *state)
+{
+    philox_t *st = state;
+    if (st->buffer_pos < 4)
+        return st->buffer[st->buffer_pos++];
+    /* the counter is incremented, with carry, before each block */
+    for (int i = 0; i < 4 && ++st->counter[i] == 0; i++)
+        ;
+    uint64_t c0 = st->counter[0], c1 = st->counter[1];
+    uint64_t c2 = st->counter[2], c3 = st->counter[3];
+    uint64_t k0 = st->key[0], k1 = st->key[1];
+    for (int round = 0; round < 10; round++) {
+        if (round > 0) {
+            k0 += 0x9E3779B97F4A7C15ULL;
+            k1 += 0xBB67AE8584CAA73BULL;
+        }
+        unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * c0;
+        unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157ULL * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+    }
+    st->buffer[0] = c0;
+    st->buffer[1] = c1;
+    st->buffer[2] = c2;
+    st->buffer[3] = c3;
+    st->buffer_pos = 1;
+    return c0;
+}
+
+static uint32_t philox_next32(void *state)
+{
+    philox_t *st = state;
+    if (st->has_uint32) {
+        st->has_uint32 = 0;
+        return st->uinteger;
+    }
+    uint64_t next = philox_next64(st);
+    st->has_uint32 = 1;
+    st->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)(next & 0xffffffff);
+}
+
+static double philox_next_double(void *state)
+{
+    return (philox_next64(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The first n raw outputs of the stream of (master_seed, shot_index),
+ * key[0] and key[1], into out (for testing the stream against numpy's). */
+void philox_raw(const uint64_t *key, uint64_t *out, int64_t n)
+{
+    philox_t st;
+    philox_seed(&st, key[0], key[1]);
+    for (int64_t i = 0; i < n; i++)
+        out[i] = philox_next64(&st);
+}
+
+/* ---- the source window ---- */
 
 /* T and S on resonance, as engine._transmission_and_scatter gives them */
 static void resonant_probabilities(double total, double *t, double *s)
@@ -133,4 +230,190 @@ int64_t source_window(bitgen_t *bitgen, int64_t *counts, double *values)
         }
     }
     return transmitted;
+}
+
+/* ---- one shot ---- */
+
+/* One configuration's parameters, packed once per chunk by
+ * engine._shot_scratch (its ctypes mirror is engine._ShotArgs), the shot
+ * to run, and the record of the last shot run, ShotRecord's fields in
+ * order.  Every field is 8 bytes, so the layout has no padding. */
+struct shot_args {
+    uint64_t master_seed, shot_index;
+    int64_t record[9];
+    /* gate storage: the stored mean, and the cooperativity rule of
+       qed.sample_cooperativity: n_levels (eta, probability) pairs, or
+       coop_scale = eta0 * geometric_weight, times cos^2 of a uniform
+       phase with standing_wave */
+    double stored_mean;
+    int64_t n_levels, standing_wave;
+    const double *levels;
+    double coop_scale;
+    /* decay: the storage time and exp(-storage time / lifetime) */
+    double storage_time, survival;
+    /* the source window: its mean photon number, source_window's values
+       (6 + eta_capacity of them), and what goes into them */
+    double source_mean;
+    int64_t eta_capacity;
+    double *window;
+    double hop_prob, hop_ratio, eta_floor, delta;
+    /* a detuned window's constants: the empty cavity's T, the complex
+       1 + 2i delta/kappa and 1 + 2i delta/gamma, and the Lorentzian
+       1 / (1 + (2 delta/gamma)^2) */
+    double empty_t, cavity_re, cavity_im, atom_re, atom_im, lorentzian;
+    /* outcoupling, retrieval, and the two counting chains, each with the
+       mean dark count of its window (0 when it has none) */
+    double outcoupling;
+    int64_t retrieval_mode;
+    double retrieval_efficiency;
+    double source_efficiency, source_dark_mean, gate_efficiency, gate_dark_mean;
+};
+
+/* Adds Poisson(lam), drawn as numpy's Generator draws it, to *sum and
+ * returns 1; returns 0, drawing nothing, for a mean the Generator rejects. */
+static int add_poisson(bitgen_t *bitgen, double lam, int64_t *sum)
+{
+    if (!(lam >= 0.0 && lam <= POISSON_LAM_MAX))
+        return 0;
+    *sum += random_poisson(bitgen, lam);
+    return 1;
+}
+
+/* qed.sample_cooperativity */
+static double sample_cooperativity(bitgen_t *bitgen, const struct shot_args *a)
+{
+    if (a->n_levels > 0) {
+        double u = random_standard_uniform(bitgen), acc = 0.0;
+        for (int64_t i = 0; i < a->n_levels; i++) {
+            acc += a->levels[2 * i + 1];
+            if (u < acc)
+                return a->levels[2 * i];
+        }
+        return a->levels[2 * a->n_levels - 2];
+    }
+    if (a->standing_wave) {
+        double c = cos(random_uniform(bitgen, 0.0, PI));
+        return a->coop_scale * c * c;
+    }
+    return a->coop_scale;
+}
+
+/* T and S of a window whose blockers add up to total, as
+ * engine._window_probabilities computes them.  A detuned T is
+ * 1 / |(1 + 2i delta/kappa) + total / (1 + 2i delta/gamma)|^2 in
+ * CPython's complex arithmetic: the quotient is _Py_c_quot with both of
+ * its branches.  The divisor's real part is 1, or NaN at a detuning so
+ * large that 2i delta overflows, so its zero-divisor case never arises. */
+static void window_probabilities(const struct shot_args *a, double total,
+                                 double *t, double *s)
+{
+    if (total <= a->eta_floor) {
+        *t = a->delta == 0.0 ? 1.0 : a->empty_t;
+        *s = 0.0;
+        return;
+    }
+    if (a->delta == 0.0) {
+        resonant_probabilities(total, t, s);
+        return;
+    }
+    double br = a->atom_re, bi = a->atom_im, qr, qi;
+    double abs_br = br < 0 ? -br : br, abs_bi = bi < 0 ? -bi : bi;
+    if (abs_br >= abs_bi) {
+        double ratio = bi / br, denom = br + bi * ratio;
+        qr = (total + 0.0 * ratio) / denom;
+        qi = (0.0 - total * ratio) / denom;
+    } else if (abs_bi >= abs_br) {
+        double ratio = br / bi, denom = br * ratio + bi;
+        qr = (total * ratio + 0.0) / denom;
+        qi = (0.0 * ratio - total) / denom;
+    } else {
+        qr = qi = NAN;
+    }
+    double dr = a->cavity_re + qr, di = a->cavity_im + qi;
+    *t = 1.0 / (dr * dr + di * di);
+    *s = 2.0 * total * a->lorentzian * *t;
+    *s = *s < 1.0 - *t ? *s : 1.0 - *t;
+}
+
+/* window_probabilities for a test: the total in values[0], T and S
+ * returned in values[0] and values[1] */
+void window_probabilities_of(const struct shot_args *a, double *values)
+{
+    window_probabilities(a, values[0], &values[0], &values[1]);
+}
+
+/* The counting chain of engine.detect */
+static int detect(bitgen_t *bitgen, binomial_t *state, int64_t true_count,
+                  double efficiency, double dark_mean, int64_t *detected,
+                  int64_t *counts, double *values)
+{
+    *detected = 0;
+    if (efficiency < 1.0) {
+        if (!add_binomial(bitgen, state, true_count, efficiency, detected, counts, values))
+            return 0;
+    } else {
+        *detected = true_count;
+    }
+    return add_poisson(bitgen, dark_mean, detected);
+}
+
+/* Runs shot a->shot_index of the configuration in a and writes its
+ * record into a->record.  Returns 0, or SHOT_IN_PYTHON when a draw that
+ * numpy's Generator rejects comes up, or more excitations are stored
+ * than a->window holds; the caller then runs the shot in Python. */
+int shot(struct shot_args *a)
+{
+    philox_t stream;
+    philox_seed(&stream, a->master_seed, a->shot_index);
+    bitgen_t bitgen = {&stream, philox_next64, philox_next32, philox_next_double,
+                       philox_next64};
+    binomial_t binomial = {0};
+    int64_t counts[4], n_stored = 0, transmitted, outside = 0, source, gate;
+    double *values = a->window, *etas = values + 6;
+
+    if (!add_poisson(&bitgen, a->stored_mean, &n_stored) || n_stored > a->eta_capacity)
+        return SHOT_IN_PYTHON;
+    for (int64_t i = 0; i < n_stored; i++)
+        etas[i] = sample_cooperativity(&bitgen, a);
+    int survived = 1;
+    if (n_stored > 0 && a->storage_time != 0.0)
+        survived = !(random_standard_uniform(&bitgen) >= a->survival);
+
+    counts[0] = 0;
+    if (!add_poisson(&bitgen, a->source_mean, &counts[0]))
+        return SHOT_IN_PYTHON;
+    counts[1] = n_stored;
+    values[0] = a->hop_prob;
+    values[1] = a->hop_ratio;
+    values[2] = a->eta_floor;
+    values[3] = a->delta;
+    window_probabilities(a, total_eta(etas, n_stored), &values[4], &values[5]);
+    transmitted = source_window(&bitgen, counts, values);
+    if (transmitted < 0)
+        return SHOT_IN_PYTHON;
+    int coherent = counts[2] == 0;
+
+    if (!add_binomial(&bitgen, &binomial, transmitted, a->outcoupling, &outside,
+                      counts, values))
+        return SHOT_IN_PYTHON;
+    int retrieved = 0;
+    if (a->retrieval_mode && n_stored > 0 && coherent && survived)
+        retrieved = random_standard_uniform(&bitgen) < a->retrieval_efficiency;
+    if (!detect(&bitgen, &binomial, outside, a->source_efficiency, a->source_dark_mean,
+                &source, counts, values)
+            || !detect(&bitgen, &binomial, retrieved, a->gate_efficiency,
+                       a->gate_dark_mean, &gate, counts, values))
+        return SHOT_IN_PYTHON;
+
+    int64_t *r = a->record;
+    r[0] = (int64_t)a->shot_index;
+    r[1] = n_stored;
+    r[2] = transmitted;
+    r[3] = outside;
+    r[4] = n_stored > 0 && !coherent;
+    r[5] = retrieved;
+    r[6] = survived;
+    r[7] = source;
+    r[8] = gate;
+    return 0;
 }

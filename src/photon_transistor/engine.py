@@ -29,20 +29,26 @@ Every shot draws from its own counter-based random stream keyed by
 (master_seed, shot_index), so results are independent of execution order
 and identical for serial and parallel runs.
 
-Windows with blocking atoms that are resonant (detuning 0) or have no
-pumping hops, nearly all of the simulation time at strong source beams
-and on the detuned spectra, run in a small C kernel, ``_window.c``.  It
-repeats the Python loop branch for branch with the same float
-expressions, and it draws from the shot's own bit generator through the
-numpy distribution functions (``libnpyrandom``) that ``Generator``
-itself calls, so the stream and every result are unchanged.  A detuned
-window's T and S come from the complex dispersive spectrum, computed in
-Python and passed to the kernel, so no complex arithmetic is ported;
-windows that are both detuned and pumped therefore stay in Python.  The
-kernel is compiled on first use with the system C compiler and cached in
-the package's ``__pycache__``; those windows, empty cavities, and any
-run where it cannot be built use the Python loop, with identical
-results.
+Every shot of a configuration whose source is resonant (detuning 0) or
+has no pumping hops, which is every preset, runs as one call of a small C
+kernel, ``_window.c``'s ``shot``; per shot, the Python around a kernel
+call used to cost several times the kernel itself.  The kernel keys the
+shot's Philox stream as ``shot_rng`` does, makes the draws of
+``_run_shot_py`` in the same order through the numpy distribution
+functions (``libnpyrandom``) that ``Generator`` itself calls, and repeats
+every float expression, so the stream and every result are unchanged.  A
+detuned window's T and S come from a real-arithmetic port of CPython's
+complex operations in the dispersive spectrum; after a pumping hop they
+would have to be recomputed, so detuned and pumped configurations run in
+Python.  The kernel's ``source_window`` also runs single windows for
+``evolve_source_window``.
+
+The Python engine stays, as the reference the tests compare the kernel
+against and as the fallback: the kernel is compiled on first use with the
+system C compiler and cached in the package's ``__pycache__``, and
+without a compiler every shot runs in Python, with identical results.  A
+shot in which the kernel meets a draw that numpy would reject also runs
+again in Python, so that ``Generator`` raises its own error.
 """
 
 from __future__ import annotations
@@ -302,9 +308,9 @@ def _window_probabilities(delta: float, total_eta: float, cavity: CavityParams,
 
 
 def _kernel_can_run(source: SourceDrive, pumping: PumpingModel) -> bool:
-    """Whether the kernel runs the windows with stored excitations of this
-    source and pumping: resonant ones, and detuned ones without pumping
-    hops, whose T and S stay constant over the window."""
+    """Whether the kernel runs the shots of this source and pumping, and
+    their windows with stored excitations: resonant ones, and detuned ones
+    without pumping hops, whose T and S stay constant over the window."""
     return source.detuning == 0.0 or pumping.hop_prob_per_scatter == 0.0
 
 
@@ -362,7 +368,8 @@ def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingMo
     values = (ctypes.c_double * (n + 6))(pumping.hop_prob_per_scatter,
                                           pumping.eta_ratio_after_hop, ETA_FLOOR,
                                           delta, t, s, *spin.etas)
-    transmitted = kernel(_address or _bitgen_address(rng.bit_generator), counts, values)
+    transmitted = kernel.source_window(_address or _bitgen_address(rng.bit_generator),
+                                       counts, values)
     if transmitted < 0:
         # the kernel stopped before a draw numpy rejects: make it here, so
         # that the Generator raises its own error
@@ -494,14 +501,14 @@ def _load_kernel() -> ctypes.CDLL:
 
 @functools.cache
 def _window_kernel():
-    """The compiled source window as a ctypes function, built on first
-    use; None when it cannot be built or loaded, and windows run in
-    Python."""
+    """The compiled kernel, ``_window.c`` as a ctypes library, built on
+    first use; None when it cannot be built or loaded, and shots and
+    windows run in Python."""
     try:
-        kernel = _load_kernel().source_window
+        kernel = _load_kernel()
     except (OSError, subprocess.SubprocessError):
         return None
-    kernel.restype = ctypes.c_int64
+    kernel.source_window.restype = ctypes.c_int64
     return kernel
 
 
@@ -544,12 +551,35 @@ def detect(true_count: int, window: float, efficiency: float, dark_rate: float,
 
 
 def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord:
-    """One full repetition, fully determined by (master_seed, shot_index)."""
-    if _scratch is None:
+    """One full repetition, fully determined by (master_seed, shot_index).
+
+    One call of the compiled ``shot`` when the kernel runs this
+    configuration, else ``_run_shot_py``.  A shot in which the kernel
+    meets a draw that numpy's Generator rejects runs again in
+    ``_run_shot_py``, so that the Generator raises its own error.
+    ``_scratch`` is ``_shot_scratch(config)``, reused across a chunk, and
+    built here when None."""
+    shot, args, ref, record, stream = _scratch or _shot_scratch(config)
+    # ctypes would wrap an index out of range; shot_rng refuses it
+    if shot is not None and 0 <= shot_index < 2 ** 64:
+        args.shot_index = shot_index
+        if shot(ref) == 0:
+            # a slice: unpacking the ctypes array itself takes 8x as long
+            _, n_stored, inside, outside, collapsed, retrieved, survived, source, gate = record[:]
+            return ShotRecord(shot_index, n_stored, inside, outside, collapsed != 0,
+                              retrieved != 0, survived != 0, source, gate)
+    return _run_shot_py(config, shot_index, stream)
+
+
+def _run_shot_py(config: RunConfig, shot_index: int, stream=None) -> ShotRecord:
+    """``run_shot`` in Python, the reference for the compiled ``shot``.
+    ``stream`` is a Philox, its Generator and its ``_bitgen_address``,
+    rekeyed here for the shot; a fresh ``shot_rng`` is used when None."""
+    if stream is None:
         rng, address = shot_rng(config.master_seed, shot_index), None
     else:
-        rng = _rekey_shot_stream(_scratch, config.master_seed, shot_index)
-        address = _scratch[2]
+        rng = _rekey_shot_stream(stream, config.master_seed, shot_index)
+        address = stream[2]
     spin = sample_gate_storage(config.gate, config.coop, rng)
     n_stored = spin.n_exc
     spin = apply_spin_decay(spin, config.timing.total_storage_time, config.atoms, rng)
@@ -570,10 +600,90 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord:
                       spin.survived_decay, detected_source, detected_gate)
 
 
+class _ShotArgs(ctypes.Structure):
+    """``struct shot_args`` of ``_window.c``, field for field."""
+
+    _fields_ = [("master_seed", ctypes.c_uint64), ("shot_index", ctypes.c_uint64),
+                ("record", ctypes.c_int64 * len(ShotRecord._fields)),
+                ("stored_mean", ctypes.c_double), ("n_levels", ctypes.c_int64),
+                ("standing_wave", ctypes.c_int64),
+                ("levels", ctypes.POINTER(ctypes.c_double)), ("coop_scale", ctypes.c_double),
+                ("storage_time", ctypes.c_double), ("survival", ctypes.c_double),
+                ("source_mean", ctypes.c_double), ("eta_capacity", ctypes.c_int64),
+                ("window", ctypes.POINTER(ctypes.c_double)),
+                *((name, ctypes.c_double) for name in (
+                    "hop_prob", "hop_ratio", "eta_floor", "delta", "empty_t", "cavity_re",
+                    "cavity_im", "atom_re", "atom_im", "lorentzian", "outcoupling")),
+                ("retrieval_mode", ctypes.c_int64),
+                *((name, ctypes.c_double) for name in (
+                    "retrieval_efficiency", "source_efficiency", "source_dark_mean",
+                    "gate_efficiency", "gate_dark_mean"))]
+
+
+_ETA_CAPACITY = 1024  # stored excitations a compiled shot holds; more run in Python
+
+
+def _dark_mean(rate: float, window: float) -> float:
+    """The mean of ``detect``'s dark-count draw; 0 when it makes none,
+    which is equivalent, as a Poisson draw of mean 0 takes nothing from
+    the stream."""
+    return rate * window if rate > 0.0 and window > 0.0 else 0.0
+
+
+def _shot_scratch(config: RunConfig) -> tuple:
+    """What ``run_shot`` reuses across a chunk of ``config``'s shots:
+    ``(shot, args, byref(args), args.record, None)``, the compiled
+    ``shot`` with the configuration packed into its arguments, when the
+    kernel runs this configuration (``_kernel_can_run``); otherwise
+    ``(None, None, None, None, stream)``, a Philox stream rekeyed per
+    shot.
+
+    What depends on the configuration alone is computed here once, with
+    the Python engine's expressions: the decay survival probability, the
+    dark-count means and, for a detuned window, the empty-cavity T, the
+    complex denominators of ``qed.cavity_transmission_spectrum`` and the
+    Lorentzian of ``_transmission_and_scatter``."""
+    kernel = _window_kernel() if _kernel_can_run(config.source, config.pumping) else None
+    if kernel is None:
+        bitgen = np.random.Philox(key=0)  # rekeyed for every shot
+        return None, None, None, None, (bitgen, np.random.Generator(bitgen),
+                                        _bitgen_address(bitgen))
+    cavity, atoms, coop, timing = config.cavity, config.atoms, config.coop, config.timing
+    det, delta = config.detection, config.source.detuning
+    levels = [value for level in coop.levels or () for value in level]
+    cavity_denominator = 1.0 + 2.0j * delta / cavity.kappa
+    atom_denominator = 1.0 + 2.0j * delta / atoms.gamma
+    x = 2.0 * delta / atoms.gamma
+    args = _ShotArgs(
+        master_seed=config.master_seed, stored_mean=config.gate.stored_mean,
+        n_levels=len(levels) // 2, standing_wave=coop.standing_wave,
+        levels=(ctypes.c_double * len(levels))(*levels),
+        coop_scale=coop.eta0 * coop.geometric_weight,
+        storage_time=timing.total_storage_time,
+        survival=math.exp(-timing.total_storage_time / atoms.tau_spinwave),
+        source_mean=config.source.mean_source_photons, eta_capacity=_ETA_CAPACITY,
+        window=(ctypes.c_double * (6 + _ETA_CAPACITY))(),
+        hop_prob=config.pumping.hop_prob_per_scatter,
+        hop_ratio=config.pumping.eta_ratio_after_hop, eta_floor=ETA_FLOOR, delta=delta,
+        empty_t=qed.cavity_transmission_spectrum(delta, (), cavity, atoms),
+        cavity_re=cavity_denominator.real, cavity_im=cavity_denominator.imag,
+        atom_re=atom_denominator.real, atom_im=atom_denominator.imag,
+        lorentzian=1.0 / (1.0 + x * x), outcoupling=cavity.outcoupling,
+        retrieval_mode=config.retrieval_mode,
+        retrieval_efficiency=config.gate.retrieval_efficiency,
+        source_efficiency=det.source_path_efficiency,
+        source_dark_mean=_dark_mean(det.source_dark_rate, timing.source_window),
+        gate_efficiency=det.gate_path_efficiency,
+        gate_dark_mean=_dark_mean(det.gate_dark_rate, timing.storage_ramp))
+    # the 64-bit seed and shot index travel in the struct, passed by a
+    # prebuilt reference: without argtypes, which doubled the call time,
+    # ctypes would pass a Python int as a 32-bit C int
+    return kernel.shot, args, ctypes.byref(args), args.record, None
+
+
 def _run_range(args) -> np.recarray:
     config, start, stop = args
-    bitgen = np.random.Philox(key=0)  # rekeyed for every shot
-    scratch = (bitgen, np.random.Generator(bitgen), _bitgen_address(bitgen))
+    scratch = _shot_scratch(config)
     return shot_table(run_shot(config, i, scratch) for i in range(start, stop))
 
 

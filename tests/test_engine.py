@@ -1,6 +1,10 @@
+import contextlib
+import ctypes
+import inspect
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import sysconfig
@@ -24,7 +28,7 @@ from photon_transistor.engine import (SHOT_DTYPE, DetectionChain, GatePulse,
                                       run_experiment, run_shot,
                                       sample_gate_storage, shot_rng, shot_table,
                                       with_source_strength)
-from photon_transistor.qed import (AtomParams, CavityParams, CooperativityModel,
+from photon_transistor.qed import (ETA_FLOOR, AtomParams, CavityParams, CooperativityModel,
                                    extinction, free_space_scatter_prob)
 
 CAVITY = CavityParams(kappa=2 * math.pi * 1e6, mirror_transmission=6.6e-6,
@@ -701,3 +705,222 @@ class TestValidation:
     def test_source_strength_helper(self):
         cfg = base_config()
         assert with_source_strength(cfg, 7.5).source.mean_source_photons == 7.5
+
+
+def _same_float(a, b):
+    """Equal bit for bit, or both NaN (whose payloads carry no result)."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _c_quot(ar, ai, br, bi):
+    """CPython's complex division ``_Py_c_quot`` in plain floats."""
+    abs_br, abs_bi = abs(br), abs(bi)
+    if abs_br >= abs_bi:
+        if abs_br == 0.0:
+            raise ZeroDivisionError("complex division by zero")
+        ratio = bi / br
+        denom = br + bi * ratio
+        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    if abs_bi >= abs_br:
+        ratio = br / bi
+        denom = br * ratio + bi
+        return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+    return math.nan, math.nan
+
+
+def _real_window_probabilities(delta, total, kappa, gamma, eta_floor):
+    """``engine._window_probabilities`` in real arithmetic, with every
+    complex operation of ``qed.cavity_transmission_spectrum`` as CPython
+    makes it; plain floats only, so any interpreter can run it."""
+    def denominator(width):  # 1.0 + 2.0j * delta / width
+        re, im = 0.0 * delta - 2.0 * 0.0, 0.0 * 0.0 + 2.0 * delta  # the product
+        re, im = _c_quot(re, im, width, 0.0)
+        return 1.0 + re, 0.0 + im
+
+    if total <= eta_floor:
+        if delta == 0.0:
+            return 1.0, 0.0
+        cr, ci = denominator(kappa)
+        return 1.0 / (cr * cr + ci * ci), 0.0
+    if delta == 0.0:
+        onep = 1.0 + total
+        t = 1.0 / (onep * onep)
+        s = 2.0 * total * t
+    else:
+        cr, ci = denominator(kappa)
+        qr, qi = _c_quot(total, 0.0, *denominator(gamma))
+        dr, di = cr + qr, ci + qi
+        t = 1.0 / (dr * dr + di * di)
+        x = 2.0 * delta / gamma
+        s = 2.0 * total * (1.0 / (1.0 + x * x)) * t
+    return t, (s if s < 1.0 - t else 1.0 - t)
+
+
+def _complex_window_probabilities(delta, total, kappa, gamma, eta_floor):
+    """``engine._window_probabilities`` as written with Python's complex
+    numbers (``_transmission_and_scatter`` over
+    ``qed.cavity_transmission_spectrum``), without numpy."""
+    denom = 1.0 + 2.0j * delta / kappa
+    if total <= eta_floor:
+        return (1.0, 0.0) if delta == 0.0 else (
+            1.0 / (denom.real * denom.real + denom.imag * denom.imag), 0.0)
+    if delta == 0.0:
+        onep = 1.0 + total
+        t = 1.0 / (onep * onep)
+        s = 2.0 * total * t
+    else:
+        denom += total / (1.0 + 2.0j * delta / gamma)
+        t = 1.0 / (denom.real * denom.real + denom.imag * denom.imag)
+        x = 2.0 * delta / gamma
+        lor2 = 1.0 / (1.0 + x * x)
+        s = 2.0 * total * lor2 * t
+    return t, (s if s < 1.0 - t else 1.0 - t)
+
+
+# the real-arithmetic and complex formulas on random (delta, total) in any
+# interpreter; prints the number of inputs compared and of mismatches
+FORMULAS_RUN = """
+import math, random, struct
+{source}
+rng = random.Random(12)
+deltas = [rng.uniform(-1e8, 1e8) for _ in range(3000)]
+deltas += [math.copysign(10 ** rng.uniform(-3, 12), rng.random() - 0.5) for _ in range(3000)]
+deltas += [1e308, -1e308, 9e307, 1e-300, -0.0]
+totals = [rng.uniform(0.0, 40.0) for _ in range(3000)]
+totals += [10 ** rng.uniform(-14, 3) for _ in range(3000)] + [ETA_FLOOR, 0.0, 2e-12]
+cases = [(d, t) for d, t in zip(deltas, totals)] + [(d, ETA_FLOOR) for d in deltas[:50]]
+cases += [(d, 1.0) for d in deltas[-5:]]
+bad = [c for c in cases
+       if not all(_same_float(a, b) for a, b in zip(
+           _real_window_probabilities(*c, KAPPA, GAMMA, ETA_FLOOR),
+           _complex_window_probabilities(*c, KAPPA, GAMMA, ETA_FLOOR)))]
+print(len(cases), len(bad), bad[:3])
+"""
+
+
+class TestShotKernel:
+    """The compiled shot against ``run_shot`` in Python."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_stream_equals_shot_rng(self, seed):
+        _require_kernel()
+        for index in (0, 1, 2 ** 64 - 1):
+            raw = (ctypes.c_uint64 * 9)()
+            engine._window_kernel().philox_raw((ctypes.c_uint64 * 2)(seed, index), raw,
+                                               ctypes.c_int64(9))
+            # nine words cross the boundary of the 4-word blocks twice
+            assert list(raw) == shot_rng(seed, index).bit_generator.random_raw(9).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(delta=st.floats(-1e8, 1e8),
+           total=st.one_of(st.floats(0.0, 1e3), st.sampled_from([
+               ETA_FLOOR, math.nextafter(ETA_FLOOR, 0.0), math.nextafter(ETA_FLOOR, 1.0)])))
+    @example(delta=1e308, total=0.5)  # 2j * delta overflows: T is NaN
+    @example(delta=1e308, total=ETA_FLOOR)
+    @example(delta=2 * ATOMS.gamma, total=3.3)  # the quotient's second branch
+    def test_ported_window_probabilities_equal_python(self, delta, total):
+        _require_kernel()
+        shot, args, ref, record, stream = engine._shot_scratch(
+            base_config(source=SourceDrive(1.0, delta)))
+        ported = (ctypes.c_double * 2)(total)
+        engine._window_kernel().window_probabilities_of(ref, ported)
+        expected = engine._window_probabilities(delta, total, CAVITY, ATOMS)
+        formulas = [f(delta, total, CAVITY.kappa, ATOMS.gamma, ETA_FLOOR)
+                    for f in (_real_window_probabilities, _complex_window_probabilities)]
+        for got in (tuple(ported), *formulas):
+            assert all(map(_same_float, got, expected)), (got, expected)
+
+    @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+    def test_real_formula_equals_complex_in_other_pythons(self, version):
+        # the kernel's arithmetic repeats CPython 3.11's complex operations;
+        # this checks that other versions make them the same way
+        python = shutil.which(f"python{version}")
+        env = dict(os.environ, PYENV_VERSION=version)  # picks the version of a pyenv shim
+        if python is None or subprocess.run([python, "-c", ""], env=env,
+                                            capture_output=True).returncode != 0:
+            pytest.skip(f"no python{version} to run")
+        source = "\n".join([inspect.getsource(f) for f in (
+            _same_float, _c_quot, _real_window_probabilities, _complex_window_probabilities)]
+            + [f"KAPPA, GAMMA, ETA_FLOOR = {CAVITY.kappa!r}, {ATOMS.gamma!r}, {ETA_FLOOR!r}"])
+        done = subprocess.run([python, "-c", FORMULAS_RUN.format(source=source)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        compared, mismatched, _ = done.stdout.split(" ", 2)
+        assert int(compared) > 6000 and mismatched == "0", done.stdout
+
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(gate=GatePulse(1e19, 1.0, 1.0)), "lam value too large"),
+        (dict(source=SourceDrive(1e19)), "lam value too large"),
+        (dict(source=SourceDrive(1e19, DETUNED)), "lam value too large"),
+        # rate * window = 1e20 is above numpy's largest Poisson mean
+        (dict(detection=DetectionChain(1.0, 1.0, 0.0, 1e26)), "lam value too large"),
+        (dict(detection=DetectionChain(1.0, 1.0, 1e26, 0.0)), "lam value too large"),
+        (dict(gate=GatePulse(3.0, 1.0, 1.0), source=SourceDrive(50.0, 1e308)),
+         "p <= 0, p > 1"),
+    ])
+    def test_run_shot_raises_what_the_generator_raises(self, overrides, match):
+        _require_kernel()
+        cfg = base_config(**overrides)
+        errors = []
+        for python_only in (False, True):
+            with _python_windows() if python_only else contextlib.nullcontext():
+                with pytest.raises(ValueError, match=match) as info:
+                    for i in range(10):
+                        run_shot(cfg, i)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_compiled_records_hold_bools(self):
+        _require_kernel()
+        cfg = base_config(gate=GatePulse(1.5, 1.0, 0.9), source=SourceDrive(1.5),
+                          retrieval_mode=True, detection=DetectionChain(0.7, 0.5, 1e5, 1e5))
+        with mock.patch.object(engine, "_run_shot_py", side_effect=AssertionError):
+            records = [run_shot(cfg, i) for i in range(200)]
+        with _python_windows():
+            assert records == [run_shot(cfg, i) for i in range(200)]
+        for field in ("collapsed", "retrieved", "survived_decay"):
+            values = [getattr(r, field) for r in records]
+            assert {type(v) for v in values} == {bool} and len(set(values)) == 2
+
+    @pytest.mark.parametrize("index", [-1, 2 ** 64])
+    def test_shot_index_out_of_range(self, index):
+        _require_kernel()
+        with pytest.raises(ValueError, match="shot_index must be a 64-bit integer"):
+            run_shot(base_config(), index)
+
+    def test_more_stored_excitations_than_the_kernel_holds(self, monkeypatch):
+        _require_kernel()
+        monkeypatch.setattr(engine, "_ETA_CAPACITY", 2)
+        cfg = base_config(gate=GatePulse(3.0, 1.0, 1.0), source=SourceDrive(40.0),
+                          n_shots=300)
+        with _python_windows():
+            expected = run_experiment(cfg)
+        assert np.array_equal(run_experiment(cfg), expected)
+        assert expected.n_stored.max() > 2
+
+    def test_address_sanitized_random_shots_equal_python(self, tmp_path):
+        _require_compiler()
+        libasan = subprocess.run([engine._CC, "-print-file-name=libasan.so"],
+                                 capture_output=True, text=True, check=True).stdout.strip()
+        # pymalloc's pools are not poisoned: PYTHONMALLOC=malloc lets the
+        # sanitizer see the bounds of every ctypes buffer
+        done = subprocess.run(
+            [sys.executable, "-c", SANITIZER_RUN, os.path.dirname(__file__),
+             str(tmp_path / "cache"), "-fsanitize=address"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=900,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LD_PRELOAD=libasan,
+                     ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc"))
+        assert done.returncode == 0, done.stderr[-4000:]
+
+
+# _check_random_windows in a fresh interpreter whose kernel is built into
+# the directory argv[2] with the compiler flags argv[3:]
+SANITIZER_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_engine as t
+t.engine._KERNEL_CACHE = sys.argv[2]
+t.engine._CFLAGS += tuple(sys.argv[3:])
+assert t.engine._window_kernel() is not None, "the sanitized kernel did not build"
+t.settings(max_examples=40, deadline=None)(t.RANDOM_WINDOWS(t._check_random_windows))()
+"""
