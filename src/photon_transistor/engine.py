@@ -161,7 +161,9 @@ class SourceDrive:
 
     def __post_init__(self):
         check_range(self, "mean_source_photons")
-        check_range(self, "detuning", lo=-math.inf)
+        # the largest |detuning| for which 2j * detuning stays finite
+        bound = sys.float_info.max / 2
+        check_range(self, "detuning", lo=-bound, hi=bound)
 
 
 @dataclass(frozen=True)

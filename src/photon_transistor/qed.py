@@ -34,6 +34,9 @@ import numpy as np
 # Below this summed cooperativity the cavity is treated as empty.
 ETA_FLOOR = 1e-12
 
+# Values per rng call in mean_blocked_transmission; bounds its working memory.
+_ORACLE_BLOCK = 1 << 15
+
 
 def check_range(obj, names: str, lo: float = 0.0, hi: float = math.inf,
                 low_open: bool = False) -> None:
@@ -271,13 +274,40 @@ def mean_blocked_transmission(model: CooperativityModel, stored_mean: float,
 
     Used as an independent prediction for the small-signal transistor
     gain slope, 1 - <T | n >= 1>.
+
+    The stream is consumed as by one call of each size: every one of the
+    ``n_samples`` Poisson counts first, then the cooperativities of the
+    occupied draws in order.  Both are drawn in blocks of ``_ORACLE_BLOCK``
+    values (a draw with more excitations than that gets a block of its
+    own), so besides one float64 per occupied draw and its count in the
+    smallest integer type, memory stays within a few blocks whatever
+    ``n_samples`` is.  The result equals that of one unblocked draw bit
+    for bit.
     """
-    if stored_mean <= 0:
-        raise ValueError("stored_mean must be > 0")
-    counts = rng.poisson(stored_mean, size=n_samples)
-    counts = counts[counts >= 1]
-    if counts.size == 0:
+    if not (math.isfinite(stored_mean) and stored_mean > 0):
+        raise ValueError(f"stored_mean must be finite and > 0, got {stored_mean!r}")
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
+            or n_samples < 1):
+        raise ValueError(f"n_samples must be an int >= 1, got {n_samples!r}")
+    counts = []
+    for start in range(0, n_samples, _ORACLE_BLOCK):
+        drawn = rng.poisson(stored_mean, size=min(_ORACLE_BLOCK, n_samples - start))
+        counts.append(drawn[drawn >= 1].astype(np.min_scalar_type(drawn.max())))
+    weights = np.empty(sum(c.size for c in counts))
+    if weights.size == 0:
         raise ValueError("no occupied draws; increase n_samples")
-    etas = _sample_cooperativities(model, int(counts.sum()), rng)
-    totals = np.add.reduceat(etas, np.concatenate(([0], np.cumsum(counts)[:-1])))
-    return float(np.mean((1.0 + totals) ** -2))
+    done = 0
+    for chunk in counts:
+        # draw i of the chunk owns cooperativities starts[i]:starts[i + 1]
+        starts = np.concatenate(([0], np.cumsum(chunk, dtype=np.int64)))
+        first = 0
+        while first < chunk.size:
+            stop = max(int(np.searchsorted(starts, starts[first] + _ORACLE_BLOCK,
+                                           side="right")) - 1, first + 1)
+            etas = _sample_cooperativities(model, int(starts[stop] - starts[first]), rng)
+            totals = np.add.reduceat(etas, starts[first:stop] - starts[first])
+            weights[done:done + totals.size] = (1.0 + totals) ** -2
+            done += totals.size
+            first = stop
+    # one mean over every draw: a blockwise mean would round differently
+    return float(np.mean(weights))

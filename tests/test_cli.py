@@ -149,6 +149,16 @@ class TestCliEntrypoints:
         assert err.startswith("error: ") and "AtomParams.eta0" in err
         assert not out.exists()
 
+    def test_run_overflowing_detuning_exits_two(self, tmp_path, capsys):
+        # 1.5e301 MHz is about 9.4e307 rad/s: finite, but 2j * delta overflows
+        cfg_path = tmp_path / "far.cfg"
+        cfg_path.write_text("[source]\ndetuning_mhz = 1.5e301\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "SourceDrive.detuning" in err
+        assert not out.exists()
+
     def test_run_missing_config_file(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path)])

@@ -49,6 +49,14 @@ def spin_with(eta, n=1):
     return SpinWave(n_exc=n, etas=[eta] * n)
 
 
+def unchecked_drive(mean_source_photons, detuning):
+    """A source drive built past ``SourceDrive``'s range check, so that a
+    detuning at which ``2j * detuning`` overflows still reaches the engines."""
+    drive = SourceDrive(mean_source_photons)
+    object.__setattr__(drive, "detuning", detuning)
+    return drive
+
+
 def _run_range_dropping_first(args, run_range=engine._run_range):
     """A chunk runner that loses the first shot of its chunk."""
     return run_range(args)[1:]
@@ -368,7 +376,7 @@ class TestWindowKernel:
         ([2.0], SourceDrive(1e19, DETUNED), NO_PUMP, "lam value too large"),
         ([math.nan, 1.0], SourceDrive(50.0, DETUNED), NO_PUMP, "p <= 0, p > 1"),
         # at this detuning the empty-cavity T is NaN: 2j * delta overflows
-        ([1e-13], SourceDrive(50.0, 1e308), NO_PUMP, "p < 0, p > 1 or p is NaN"),
+        ([1e-13], unchecked_drive(50.0, 1e308), NO_PUMP, "p < 0, p > 1 or p is NaN"),
     ])
     def test_raises_what_the_generator_raises(self, etas, source, pumping, match):
         _require_kernel()
@@ -690,6 +698,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="mean_source_photons"):
             SourceDrive(-2.0)
 
+    def test_detuning_bound(self):
+        # 2j * detuning stays finite up to half the largest float
+        bound = sys.float_info.max / 2
+        for delta in (bound, -bound):
+            assert SourceDrive(50.0, delta).detuning == delta
+        for delta in (1e308, -1e308, math.nextafter(bound, math.inf)):
+            with pytest.raises(ValueError, match="SourceDrive.detuning"):
+                SourceDrive(50.0, delta)
+
     def test_config_invariants(self):
         with pytest.raises(ValueError, match="n_shots"):
             base_config(n_shots=0)
@@ -821,7 +838,7 @@ class TestShotKernel:
     def test_ported_window_probabilities_equal_python(self, delta, total):
         _require_kernel()
         shot, args, ref, record, stream = engine._shot_scratch(
-            base_config(source=SourceDrive(1.0, delta)))
+            base_config(source=unchecked_drive(1.0, delta)))
         ported = (ctypes.c_double * 2)(total)
         engine._window_kernel().window_probabilities_of(ref, ported)
         expected = engine._window_probabilities(delta, total, CAVITY, ATOMS)
@@ -855,7 +872,7 @@ class TestShotKernel:
         # rate * window = 1e20 is above numpy's largest Poisson mean
         (dict(detection=DetectionChain(1.0, 1.0, 0.0, 1e26)), "lam value too large"),
         (dict(detection=DetectionChain(1.0, 1.0, 1e26, 0.0)), "lam value too large"),
-        (dict(gate=GatePulse(3.0, 1.0, 1.0), source=SourceDrive(50.0, 1e308)),
+        (dict(gate=GatePulse(3.0, 1.0, 1.0), source=unchecked_drive(50.0, 1e308)),
          "p <= 0, p > 1"),
     ])
     def test_run_shot_raises_what_the_generator_raises(self, overrides, match):

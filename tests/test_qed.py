@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from photon_transistor.qed import (AtomParams, CavityParams, CooperativityModel,
+from photon_transistor.presets import matched_pair_cooperativity
+from photon_transistor.qed import (_ORACLE_BLOCK, AtomParams, CavityParams,
+                                   CooperativityModel,
                                    cavity_transmission_spectrum,
                                    effective_cooperativities, extinction,
                                    free_space_scatter_prob,
@@ -12,6 +15,7 @@ from photon_transistor.qed import (AtomParams, CavityParams, CooperativityModel,
                                    mean_blocked_transmission,
                                    sample_cooperativity,
                                    _sample_cooperativities)
+from photon_transistor.runner import SLOPE_ORACLE_SAMPLES
 
 CAVITY = CavityParams(kappa=2 * math.pi * 1e6, mirror_transmission=6.6e-6,
                       mirror_loss=3.4e-6)
@@ -209,12 +213,85 @@ class TestEffectiveCooperativities:
             effective_cooperativities(model, 9999, np.random.default_rng(0))
 
 
+def _one_shot_blocked_transmission(model, stored_mean, n_samples, rng):
+    """The oracle drawn in one piece, as it was before drawing in blocks."""
+    if stored_mean <= 0:
+        raise ValueError("stored_mean must be > 0")
+    counts = rng.poisson(stored_mean, size=n_samples)
+    counts = counts[counts >= 1]
+    if counts.size == 0:
+        raise ValueError("no occupied draws; increase n_samples")
+    etas = _sample_cooperativities(model, int(counts.sum()), rng)
+    totals = np.add.reduceat(etas, np.concatenate(([0], np.cumsum(counts)[:-1])))
+    return float(np.mean((1.0 + totals) ** -2))
+
+
+ORACLE_MODELS = [matched_pair_cooperativity(), CooperativityModel(eta0=8.6),
+                 CooperativityModel(eta0=8.6, standing_wave=False)]
+
+
 class TestBlockedTransmissionOracle:
     def test_single_excitation_limit(self):
         model = CooperativityModel(eta0=8.6, levels=((1.5, 1.0),))
         rng = np.random.default_rng(9)
         mean_t = mean_blocked_transmission(model, 0.02, 500_000, rng)
         assert abs(mean_t - extinction(1.5)) < 0.002
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=["levels", "standing", "constant"])
+    @pytest.mark.parametrize("stored_mean", [0.05, 0.4, 3.0])
+    @pytest.mark.parametrize("n_samples", [1, _ORACLE_BLOCK - 1, _ORACLE_BLOCK + 1,
+                                           1_000_003])
+    def test_blocks_equal_one_draw(self, model, stored_mean, n_samples):
+        seed = 10 if n_samples == 1 else 5  # seed 10's one draw is occupied at 0.05
+        expected = _one_shot_blocked_transmission(model, stored_mean, n_samples,
+                                                  np.random.default_rng(seed))
+        got = mean_blocked_transmission(model, stored_mean, n_samples,
+                                        np.random.default_rng(seed))
+        assert got == expected
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=["levels", "standing", "constant"])
+    def test_draw_larger_than_a_block(self, model):
+        stored_mean = 4.0 * _ORACLE_BLOCK
+        expected = _one_shot_blocked_transmission(model, stored_mean, 3,
+                                                  np.random.default_rng(2))
+        assert mean_blocked_transmission(model, stored_mean, 3,
+                                         np.random.default_rng(2)) == expected
+
+    @pytest.mark.parametrize("stored_mean, n_samples, match", [
+        (0.0, 10, "stored_mean"),
+        (-1.0, 10, "stored_mean"),
+        (1e-9, 3, "no occupied draws; increase n_samples"),
+    ])
+    def test_errors_equal_one_draw(self, stored_mean, n_samples, match):
+        model = matched_pair_cooperativity()
+        for oracle in (_one_shot_blocked_transmission, mean_blocked_transmission):
+            with pytest.raises(ValueError, match=match):
+                oracle(model, stored_mean, n_samples, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("stored_mean, n_samples, match", [
+        (math.nan, 10, "stored_mean"),
+        (math.inf, 10, "stored_mean"),
+        (0.4, 0, "n_samples"),
+        (0.4, -5, "n_samples"),
+        (0.4, 10.0, "n_samples"),
+        (0.4, True, "n_samples"),
+    ])
+    def test_inputs_checked_at_entry(self, stored_mean, n_samples, match):
+        with pytest.raises(ValueError, match=match):
+            mean_blocked_transmission(matched_pair_cooperativity(), stored_mean,
+                                      n_samples, np.random.default_rng(0))
+
+    def test_gain_slope_call_memory(self):
+        # fig4ab's gain-slope prediction: drawn in one piece it peaks at 13.7 MB
+        model = matched_pair_cooperativity()
+        tracemalloc.start()
+        try:
+            mean_blocked_transmission(model, 0.4, SLOPE_ORACLE_SAMPLES,
+                                      np.random.default_rng(2024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestParameterValidation:
