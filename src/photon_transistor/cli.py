@@ -33,8 +33,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="shots per sweep point (default 2000)")
     run.add_argument("--seed", type=int, default=12345, help="master seed")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--threads", type=int, default=1,
-                     help="parallel workers; affects wall time only, never results")
+    run.add_argument("--threads", type=int, default=1, metavar="N",
+                     help="processes that compute each sweep point, the calling one "
+                          "included, so a point forks at most N-1; affects wall "
+                          "time only, never results")
 
     cmp_ = sub.add_parser("compare", help="check a summary against reference bands")
     cmp_.add_argument("--summary", required=True, help="path to summary.json")

@@ -27,7 +27,10 @@ scattering event.
 
 Every shot draws from its own counter-based random stream keyed by
 (master_seed, shot_index), so results are independent of execution order
-and identical for serial and parallel runs.
+and identical for serial and parallel runs.  A parallel run splits the
+shots into contiguous shares, one for each process that computes: the
+calling process runs the first share itself, and a pool of one process
+fewer, forked once the kernel is built, runs one share each.
 
 Every shot of a configuration whose source is resonant (detuning 0) or
 has no pumping hops, which is every preset, runs as one call of a small C
@@ -59,7 +62,6 @@ import functools
 import math
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -463,6 +465,7 @@ def _load_kernel() -> ctypes.CDLL:
     cache holds one library per interpreter."""
     import glob
     import hashlib
+    import subprocess
     import sysconfig
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
@@ -506,6 +509,7 @@ def _window_kernel():
     """The compiled kernel, ``_window.c`` as a ctypes library, built on
     first use; None when it cannot be built or loaded, and shots and
     windows run in Python."""
+    import subprocess  # here, not at import: only a build runs a process
     try:
         kernel = _load_kernel()
     except (OSError, subprocess.SubprocessError):
@@ -702,20 +706,25 @@ def bound_workers(requested: int, n_tasks: int, cpus: int | None = None) -> int:
 
 def run_experiment(config: RunConfig, workers: int = 1) -> np.recarray:
     """Shot table of all shots of one configuration, in shot order.
-    ``workers`` > 1 distributes shots over a process pool of at most
-    ``bound_workers`` processes; the per-shot substreams make the result
+
+    ``workers`` > 1 splits the shots into contiguous shares, one for each
+    of the ``bound_workers`` processes that compute, the calling process
+    included: a pool of one process fewer gets one share each, and the
+    caller runs the first share while the pool works.  A single shot runs
+    in the caller without a pool.  The per-shot substreams make the result
     identical to the serial run."""
     n = config.n_shots
-    if workers <= 1:
+    if workers <= 1 or n == 1:
         return _run_range((config, 0, n))
-    # with workers <= n, the chunking below makes at least `workers` chunks
-    workers = bound_workers(workers, n)
+    # at least one pool process, so that every parallel call makes a pool
+    shares = max(2, bound_workers(workers, n))
     if _kernel_can_run(config.source, config.pumping):
-        _window_kernel()  # built here once, not in every worker
-    chunk = max(1, math.ceil(n / (workers * 4)))
-    ranges = [(config, s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        table = np.concatenate(list(pool.map(_run_range, ranges))).view(np.recarray)
+        _window_kernel()  # built here once, not in every pool process
+    ranges = [(config, n * i // shares, n * (i + 1) // shares) for i in range(shares)]
+    with ProcessPoolExecutor(max_workers=shares - 1) as pool:
+        futures = [pool.submit(_run_range, share) for share in ranges[1:]]
+        tables = [_run_range(ranges[0])] + [future.result() for future in futures]
+    table = np.concatenate(tables).view(np.recarray)
     if len(table) != n or not np.array_equal(table.shot_index, np.arange(n)):
         raise RuntimeError("incomplete parallel run; no partial results returned")
     return table

@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import functools
 import inspect
 import math
 import os
@@ -60,6 +61,32 @@ def unchecked_drive(mean_source_photons, detuning):
 def _run_range_dropping_first(args, run_range=engine._run_range):
     """A chunk runner that loses the first shot of its chunk."""
     return run_range(args)[1:]
+
+
+def _run_range_logging_pid(log, args, run_range=engine._run_range):
+    """A chunk runner that appends its first shot index and its pid to ``log``."""
+    with open(log, "a") as fh:
+        fh.write(f"{args[1]} {os.getpid()}\n")
+    return run_range(args)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Every pool ``run_experiment`` makes, with its size and its tasks."""
+    pools = []
+
+    class RecordingPool(engine.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            self.max_workers, self.tasks = max_workers, []
+            pools.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.tasks.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return pools
 
 
 def base_config(**overrides):
@@ -626,6 +653,40 @@ class TestRunExperiment:
             assert table.dtype == SHOT_DTYPE
             assert np.array_equal(table.shot_index, np.arange(500))
         assert np.array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("cpus, workers, processes", [
+        (2, 2, 1), (1, 2, 1), (8, 3, 2), (8, 4, 3)])
+    def test_caller_runs_a_share_and_each_pool_process_one(
+            self, recorded_pools, monkeypatch, tmp_path, cpus, workers, processes):
+        cfg = base_config(n_shots=101, master_seed=41)
+        serial = run_experiment(cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        log = tmp_path / "shares.log"
+        monkeypatch.setattr(engine, "_run_range",
+                            functools.partial(_run_range_logging_pid, log))
+        assert np.array_equal(run_experiment(cfg, workers=workers), serial)
+        [pool] = recorded_pools
+        assert pool.max_workers == processes
+        starts = [101 * i // (processes + 1) for i in range(processes + 1)]
+        # the pool gets every share but the first, one task per process
+        assert [share[1] for (share,) in pool.tasks] == starts[1:]
+        ran = dict(map(int, line.split()) for line in log.read_text().splitlines())
+        assert sorted(ran) == starts
+        assert ran[0] == os.getpid()
+        assert os.getpid() not in [ran[start] for start in starts[1:]]
+
+    def test_single_shot_makes_no_pool(self, recorded_pools):
+        cfg = base_config(n_shots=1, master_seed=43)
+        assert np.array_equal(run_experiment(cfg, workers=2), run_experiment(cfg))
+        assert recorded_pools == []
+
+    def test_detuned_preset_point_serial_equals_parallel(self):
+        [point] = [p for p in presets.get_preset("fig2").points
+                   if p.meta["n_g_stored"] == 1.4 and p.meta["detuning_mhz"] == 1.0]
+        cfg = replace(point.config, n_shots=400, master_seed=47)
+        serial = run_experiment(cfg)
+        assert serial.collapsed.any()  # blocked shots scatter off resonance too
+        assert np.array_equal(run_experiment(cfg, workers=2), serial)
 
     def test_incomplete_parallel_run_raises(self, monkeypatch):
         monkeypatch.setattr(engine, "_run_range", _run_range_dropping_first)
