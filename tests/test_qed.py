@@ -295,7 +295,6 @@ class TestBlockedTransmissionOracle:
             tracemalloc.stop()
         assert peak < 6e6
 
-
     def test_fig4ab_analysis_draws_it_once(self, monkeypatch):
         preset = get_preset("fig4ab")
         runs = runner.run_preset_points(runner.point_configs(preset, 60, 3))
