@@ -62,6 +62,7 @@ import functools
 import math
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -465,7 +466,6 @@ def _load_kernel() -> ctypes.CDLL:
     cache holds one library per interpreter."""
     import glob
     import hashlib
-    import subprocess
     import sysconfig
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
@@ -509,7 +509,6 @@ def _window_kernel():
     """The compiled kernel, ``_window.c`` as a ctypes library, built on
     first use; None when it cannot be built or loaded, and shots and
     windows run in Python."""
-    import subprocess  # here, not at import: only a build runs a process
     try:
         kernel = _load_kernel()
     except (OSError, subprocess.SubprocessError):

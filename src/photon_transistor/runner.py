@@ -16,7 +16,6 @@ through a temporary file and an atomic rename.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -123,13 +122,10 @@ def _analyze_fig3(points, runs):
     return header, rows, summary, extra
 
 
-@functools.cache
-def _gain_slope_prediction(coop: qed.CooperativityModel, stored_mean: float) -> float:
-    """The gain slope 1 - <T> predicted from ``SLOPE_ORACLE_SAMPLES``
-    draws of a fixed stream; drawn once per (coop, stored_mean) in a
-    process, as the draws depend on nothing else."""
+def _gain_slope_prediction(config: RunConfig) -> float:
     rng = np.random.default_rng(2024)
-    mean_t = qed.mean_blocked_transmission(coop, stored_mean, SLOPE_ORACLE_SAMPLES, rng)
+    mean_t = qed.mean_blocked_transmission(
+        config.coop, config.gate.stored_mean, SLOPE_ORACLE_SAMPLES, rng)
     return 1.0 - mean_t
 
 
@@ -147,8 +143,7 @@ def _analyze_fig4ab(points, runs):
     gs = np.array([e.g for e in gains])
     k = FIG4AB_LINEAR_POINTS
     slope, _ = stats.fit_linear(xs[:k], gs[:k])
-    config = points[0].config
-    prediction = _gain_slope_prediction(config.coop, config.gate.stored_mean)
+    prediction = _gain_slope_prediction(points[0].config)
     peak_idx = int(np.argmax(gs))
     plateau = gs[-1]
     sat_scale = float("nan")

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -6,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from photon_transistor import qed, runner
-from photon_transistor.presets import get_preset, matched_pair_cooperativity
+from photon_transistor.presets import matched_pair_cooperativity
 from photon_transistor.qed import (_ORACLE_BLOCK, AtomParams, CavityParams,
                                    CooperativityModel,
                                    cavity_transmission_spectrum,
@@ -294,22 +292,6 @@ class TestBlockedTransmissionOracle:
         finally:
             tracemalloc.stop()
         assert peak < 6e6
-
-    def test_fig4ab_analysis_draws_it_once(self, monkeypatch):
-        preset = get_preset("fig4ab")
-        runs = runner.run_preset_points(runner.point_configs(preset, 60, 3))
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return mean_blocked_transmission(*args)
-
-        monkeypatch.setattr(qed, "mean_blocked_transmission", counted)
-        runner._gain_slope_prediction.cache_clear()
-        first = runner.analyze_preset(preset, runs)
-        second = runner.analyze_preset(preset, runs)
-        assert len(calls) == 1
-        assert json.dumps(second) == json.dumps(first)
 
 
 class TestParameterValidation:
