@@ -13,11 +13,13 @@
  * record.  Every float expression is the Python one, in the same order;
  * build with -ffp-contract=off so that no multiply-add is fused.  The
  * Python engine stays, as the reference the tests compare this file
- * against and as the fallback where no compiler is found.
+ * against and as the fallback where no compiler is found.  shot is the
+ * only compiled path of a simulation; _kernel.py builds and loads it.
  *
- * source_window is the loop of engine._evolve_source_window_py once the
- * incident photon number is drawn, branch for branch, drawing from the
- * caller's bit generator; shot calls it too.  A resonant window
+ * source_window is the loop of engine.evolve_source_window, the Python
+ * reference, once the incident photon number is drawn, branch for branch,
+ * drawing from the caller's bit generator; shot calls it, and the tests
+ * call it to compare it with the Python window.  A resonant window
  * (delta == 0) computes its transmission T and scattering probability S
  * from the total cooperativity, once at the start and again after every
  * pumping hop.  A detuned window takes T and S from the caller; it must
@@ -26,15 +28,14 @@
  * operations in qed.cavity_transmission_spectrum.
  *
  * Where numpy's Generator would reject a draw, these functions stop
- * before making it and say so; the caller reruns the shot or the window
- * in Python, where the Generator raises its own error.
+ * before making it and say so; the caller reruns the shot in Python,
+ * where the Generator raises its own error.
  */
 #include <math.h>
 #include "numpy/random/distributions.h"
 
-/* return values of source_window for a draw that numpy's Generator rejects */
-#define REJECTED_GEOMETRIC (-1)
-#define REJECTED_BINOMIAL (-2)
+/* return value of source_window when a draw is rejected */
+#define REJECTED (-1)
 /* return value of shot when a draw is rejected or the etas do not fit */
 #define SHOT_IN_PYTHON 1
 
@@ -136,16 +137,13 @@ static double total_eta(const double *etas, int64_t n_etas)
 }
 
 /* Adds Binomial(n, p), drawn as numpy's Generator draws it, to *sum and
- * returns 1.  A probability that the Generator rejects is not drawn: the
- * return value is then 0, with n in counts[0] and p in values[0]. */
+ * returns 1; returns 0, drawing nothing, for a probability the Generator
+ * rejects. */
 static int add_binomial(bitgen_t *bitgen, binomial_t *state, int64_t n, double p,
-                        int64_t *sum, int64_t *counts, double *values)
+                        int64_t *sum)
 {
-    if (!(p >= 0.0 && p <= 1.0)) {
-        counts[0] = n;
-        values[0] = p;
+    if (!(p >= 0.0 && p <= 1.0))
         return 0;
-    }
     *sum += random_binomial(bitgen, p, n, state);
     return 1;
 }
@@ -154,15 +152,12 @@ static int add_binomial(bitgen_t *bitgen, binomial_t *state, int64_t n, double p
  * values[6 : 6 + counts[1]] blocking it, at hop probability values[0],
  * hop ratio values[1], empty-cavity floor values[2] and detuning
  * values[3]; a detuned window's T and S are values[4] and values[5]
- * (arguments are packed into two arrays because every separate ctypes
- * argument costs call time).  Returns the transmitted photon count, with
- * the number of scattering events in counts[2] and the index of the
- * photon that scattered first in counts[3] (0 when none did); the
- * cooperativities are updated in place by the pumping hops.  A draw
- * whose argument numpy's Generator rejects is not made: the return value
- * is then REJECTED_GEOMETRIC with the probability in values[0], or
- * REJECTED_BINOMIAL with the count in counts[0] and the probability in
- * values[0]. */
+ * (shot passes its counts and its window).  Returns the transmitted
+ * photon count, with the number of scattering events in counts[2] and
+ * the index of the photon that scattered first in counts[3] (0 when none
+ * did); the cooperativities are updated in place by the pumping hops.  A
+ * draw whose argument numpy's Generator rejects is not made: the return
+ * value is then REJECTED. */
 int64_t source_window(bitgen_t *bitgen, int64_t *counts, double *values)
 {
     int64_t remaining = counts[0], n_etas = counts[1];
@@ -179,34 +174,28 @@ int64_t source_window(bitgen_t *bitgen, int64_t *counts, double *values)
         if (total <= eta_floor) {
             if (delta == 0.0)
                 transmitted += remaining;
-            else if (!add_binomial(bitgen, &binomial, remaining, t, &transmitted,
-                                   counts, values))
-                return REJECTED_BINOMIAL;
+            else if (!add_binomial(bitgen, &binomial, remaining, t, &transmitted))
+                return REJECTED;
             break;
         }
         if (s < 1e-300) {
-            if (!add_binomial(bitgen, &binomial, remaining, t, &transmitted,
-                              counts, values))
-                return REJECTED_BINOMIAL;
+            if (!add_binomial(bitgen, &binomial, remaining, t, &transmitted))
+                return REJECTED;
             break;
         }
         /* s is NaN only when the cooperativities or the detuned T are
            not numbers */
-        if (!(s > 0.0 && s <= 1.0)) {
-            values[0] = s;
-            return REJECTED_GEOMETRIC;
-        }
+        if (!(s > 0.0 && s <= 1.0))
+            return REJECTED;
         int64_t gap = random_geometric(bitgen, s);
         double p = t / (1.0 - s);
         if (gap > remaining) {
-            if (!add_binomial(bitgen, &binomial, remaining, p, &transmitted,
-                              counts, values))
-                return REJECTED_BINOMIAL;
+            if (!add_binomial(bitgen, &binomial, remaining, p, &transmitted))
+                return REJECTED;
             break;
         }
-        if (gap > 1 && !add_binomial(bitgen, &binomial, gap - 1, p, &transmitted,
-                                     counts, values))
-            return REJECTED_BINOMIAL;
+        if (gap > 1 && !add_binomial(bitgen, &binomial, gap - 1, p, &transmitted))
+            return REJECTED;
         processed += gap;
         remaining -= gap;
         if (counts[2]++ == 0)
@@ -235,7 +224,7 @@ int64_t source_window(bitgen_t *bitgen, int64_t *counts, double *values)
 /* ---- one shot ---- */
 
 /* One configuration's parameters, packed once per chunk by
- * engine._shot_scratch (its ctypes mirror is engine._ShotArgs), the shot
+ * _kernel.pack_shot (its ctypes mirror is _kernel._ShotArgs), the shot
  * to run, and the record of the last shot run, ShotRecord's fields in
  * order.  Every field is 8 bytes, so the layout has no padding. */
 struct shot_args {
@@ -344,12 +333,11 @@ void window_probabilities_of(const struct shot_args *a, double *values)
 
 /* The counting chain of engine.detect */
 static int detect(bitgen_t *bitgen, binomial_t *state, int64_t true_count,
-                  double efficiency, double dark_mean, int64_t *detected,
-                  int64_t *counts, double *values)
+                  double efficiency, double dark_mean, int64_t *detected)
 {
     *detected = 0;
     if (efficiency < 1.0) {
-        if (!add_binomial(bitgen, state, true_count, efficiency, detected, counts, values))
+        if (!add_binomial(bitgen, state, true_count, efficiency, detected))
             return 0;
     } else {
         *detected = true_count;
@@ -393,16 +381,15 @@ int shot(struct shot_args *a)
         return SHOT_IN_PYTHON;
     int coherent = counts[2] == 0;
 
-    if (!add_binomial(&bitgen, &binomial, transmitted, a->outcoupling, &outside,
-                      counts, values))
+    if (!add_binomial(&bitgen, &binomial, transmitted, a->outcoupling, &outside))
         return SHOT_IN_PYTHON;
     int retrieved = 0;
     if (a->retrieval_mode && n_stored > 0 && coherent && survived)
         retrieved = random_standard_uniform(&bitgen) < a->retrieval_efficiency;
     if (!detect(&bitgen, &binomial, outside, a->source_efficiency, a->source_dark_mean,
-                &source, counts, values)
-            || !detect(&bitgen, &binomial, retrieved, a->gate_efficiency,
-                       a->gate_dark_mean, &gate, counts, values))
+                &source)
+            || !detect(&bitgen, &binomial, retrieved, a->gate_efficiency, a->gate_dark_mean,
+                       &gate))
         return SHOT_IN_PYTHON;
 
     int64_t *r = a->record;

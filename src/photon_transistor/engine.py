@@ -43,35 +43,32 @@ every float expression, so the stream and every result are unchanged.  A
 detuned window's T and S come from a real-arithmetic port of CPython's
 complex operations in the dispersive spectrum; after a pumping hop they
 would have to be recomputed, so detuned and pumped configurations run in
-Python.  The kernel's ``source_window`` also runs single windows for
-``evolve_source_window``.
+Python.  ``shot`` is the only compiled path; ``_kernel`` builds and loads
+it.
 
 The Python engine stays, as the reference the tests compare the kernel
-against and as the fallback: the kernel is compiled on first use with the
-system C compiler and cached in the package's ``__pycache__``, and
-without a compiler every shot runs in Python, with identical results.  A
-shot in which the kernel meets a draw that numpy would reject also runs
-again in Python, so that ``Generator`` raises its own error.
+against and as the fallback: ``evolve_source_window`` is the Python
+reference of the kernel's source window, and ``_run_shot_py`` of its
+shot.  The kernel is compiled on first use with the system C compiler and
+cached in the package's ``__pycache__``, and without a compiler every
+shot runs in Python, with identical results.  A shot in which the kernel
+meets a draw that numpy would reject, or that stores more excitations
+than the kernel holds, also runs in Python, where ``Generator`` raises
+its own error.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from . import qed
+from . import _kernel, qed
 from .qed import AtomParams, CavityParams, CooperativityModel, ETA_FLOOR, check_range
 
 
@@ -257,7 +254,7 @@ def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
 
 def _rekey_shot_stream(scratch, master_seed: int, shot_index: int) -> np.random.Generator:
     """Reuse one Philox instance across shots by assigning it a fresh state
-    (``scratch`` is the Philox, its Generator and its ``_bitgen_address``):
+    (``scratch`` is the Philox and its Generator):
     key (shot_index, master_seed), zero counter, empty buffer.  Yields the
     same stream as a fresh shot_rng() but without per-shot construction
     cost, and without reading the old state back."""
@@ -313,31 +310,15 @@ def _window_probabilities(delta: float, total_eta: float, cavity: CavityParams,
 
 
 def _kernel_can_run(source: SourceDrive, pumping: PumpingModel) -> bool:
-    """Whether the kernel runs the shots of this source and pumping, and
-    their windows with stored excitations: resonant ones, and detuned ones
-    without pumping hops, whose T and S stay constant over the window."""
+    """Whether the kernel runs the shots of this source and pumping:
+    resonant ones, and detuned ones without pumping hops, whose T and S
+    stay constant over the window."""
     return source.detuning == 0.0 or pumping.hop_prob_per_scatter == 0.0
-
-
-class _Address(ctypes.c_void_p):
-    """A ``bitgen_t *``; as a subclass, ctypes returns it unconverted."""
-
-
-# its own function object: ctypes.pythonapi's is shared with other code
-_capsule_pointer = ctypes.PYFUNCTYPE(_Address, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _bitgen_address(bit_generator: np.random.BitGenerator) -> _Address:
-    """The address of ``bit_generator``'s ``bitgen_t``, for the kernel to
-    draw from; read from its capsule in about 0.5 us, where numpy's
-    ``bit_generator.ctypes`` costs about 18 us on first use."""
-    return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
 
 
 def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingModel,
                          cavity: CavityParams, atoms: AtomParams,
-                         rng: np.random.Generator, _address=None) -> tuple[int, SpinWave]:
+                         rng: np.random.Generator) -> tuple[int, SpinWave]:
     """Send the source beam through the cavity for one window.
 
     Draws a Poissonian number of incident photons with mean
@@ -347,58 +328,14 @@ def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingMo
     event destroys the collective phase (coherent = False), leaves the
     atom blocking, and applies the pumping hop to the atom that
     scattered (chosen with probability proportional to its
-    cooperativity).
+    cooperativity).  The total cooperativity, T and S are computed once
+    per blocking configuration, so again only after a pumping hop.
 
-    Windows with stored excitations that are resonant or have no pumping
-    hops run in the compiled kernel when it is available (a detuned one
-    with T and S computed here), the rest in ``_evolve_source_window_py``;
-    both give the same result from the same stream.  ``_address`` is the
-    ``_bitgen_address`` of ``rng``'s bit generator, read here when None.
+    This is the reference that the kernel's ``source_window`` repeats,
+    draw for draw, inside a compiled shot.
 
     Returns (transmitted_count, updated spin).
     """
-    kernel = _window_kernel() if spin.n_exc > 0 and _kernel_can_run(source, pumping) else None
-    if kernel is None:
-        return _evolve_source_window_py(spin, source, pumping, cavity, atoms, rng)
-    n_attempt = int(rng.poisson(source.mean_source_photons))
-    if n_attempt == 0:
-        return 0, spin
-    delta = source.detuning
-    # a resonant window computes its own T and S in the kernel
-    t, s = ((0.0, 0.0) if delta == 0.0 else
-            _window_probabilities(delta, spin.total_eta(), cavity, atoms))
-    n = len(spin.etas)
-    # the argument layout of source_window in _window.c
-    counts = (ctypes.c_int64 * 4)(n_attempt, n)
-    values = (ctypes.c_double * (n + 6))(pumping.hop_prob_per_scatter,
-                                          pumping.eta_ratio_after_hop, ETA_FLOOR,
-                                          delta, t, s, *spin.etas)
-    transmitted = kernel.source_window(_address or _bitgen_address(rng.bit_generator),
-                                       counts, values)
-    if transmitted < 0:
-        # the kernel stopped before a draw numpy rejects: make it here, so
-        # that the Generator raises its own error
-        if transmitted == _REJECTED_GEOMETRIC:
-            rng.geometric(values[0])
-        else:
-            rng.binomial(counts[0], values[0])
-        raise RuntimeError(f"window kernel rejected a draw at p = {values[0]!r}")
-    if counts[2]:
-        spin.n_scatters += counts[2]
-        if spin.first_scatter_photon is None:
-            spin.first_scatter_photon = counts[3]
-        spin.coherent = False
-        spin.etas[:] = values[6:]
-    return transmitted, spin
-
-
-def _evolve_source_window_py(spin: SpinWave, source: SourceDrive, pumping: PumpingModel,
-                             cavity: CavityParams, atoms: AtomParams,
-                             rng: np.random.Generator) -> tuple[int, SpinWave]:
-    """``evolve_source_window`` in Python: the reference for the compiled
-    kernel, and the engine for every window the kernel does not run.  The
-    total cooperativity, T and S are computed once per blocking
-    configuration, so again only after a pumping hop."""
     n_attempt = int(rng.poisson(source.mean_source_photons))
     delta = source.detuning
     total = spin.total_eta()
@@ -445,78 +382,6 @@ def _evolve_source_window_py(spin: SpinWave, source: SourceDrive, pumping: Pumpi
     return transmitted, spin
 
 
-_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_window.c")
-_KERNEL_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
-_CC = "cc"
-# no fused multiply-add, so every float result equals the Python loop's
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_REJECTED_GEOMETRIC = -1  # and -2 for a binomial, as REJECTED_* in _window.c
-
-
-def _load_kernel() -> ctypes.CDLL:
-    """``_window.c`` compiled and loaded; compiled only when no library of
-    this source, numpy version and interpreter is cached yet.
-
-    The cache is ``_KERNEL_CACHE``.  When that is not writable, the
-    library is built in a private temporary directory, removed once it
-    is loaded.  A new library is written under a temporary name and
-    renamed into place, so a concurrent process never loads a
-    half-written file; then the interpreter's older libraries, and the
-    untagged ``_window.<key>.so`` of earlier versions, are removed, so the
-    cache holds one library per interpreter."""
-    import glob
-    import hashlib
-    import sysconfig
-    with open(_KERNEL_SOURCE, "rb") as fh:
-        source = fh.read()
-    tag = sys.implementation.cache_tag  # names the library, so not hashed
-    key = hashlib.sha256(b"\0".join((source, np.__version__.encode())))
-    try:
-        os.makedirs(_KERNEL_CACHE, exist_ok=True)
-        private = not os.access(_KERNEL_CACHE, os.W_OK)
-    except OSError:
-        private = True
-    cache = tempfile.mkdtemp(prefix="photon_transistor-") if private else _KERNEL_CACHE
-    library = os.path.join(cache, f"_window.{tag}.{key.hexdigest()[:16]}.so")
-    build = tempfile.mkdtemp(prefix="_window.", dir=cache)
-    try:
-        if not os.path.exists(library):
-            output = os.path.join(build, "_window.so")
-            subprocess.run(
-                [_CC, *_CFLAGS, "-I", np.get_include(),
-                 "-I", sysconfig.get_paths()["include"], "-o", output, _KERNEL_SOURCE,
-                 os.path.join(os.path.dirname(np.__file__), "random", "lib",
-                              "libnpyrandom.a"), "-lm"],
-                check=True, capture_output=True)
-            os.replace(output, library)
-            # the untagged key is exactly 16 hex digits, so that no other
-            # interpreter's _window.<cache tag>.<key>.so matches
-            escaped = glob.escape(cache)
-            stale = glob.glob(os.path.join(escaped, f"_window.{tag}.*.so"))
-            stale += glob.glob(os.path.join(escaped, "_window." + "[0-9a-f]" * 16 + ".so"))
-            for old in stale:
-                if old != library:
-                    # a process that loaded it keeps its mapping
-                    with contextlib.suppress(FileNotFoundError):
-                        os.remove(old)
-        return ctypes.CDLL(library)
-    finally:
-        shutil.rmtree(cache if private else build, ignore_errors=True)
-
-
-@functools.cache
-def _window_kernel():
-    """The compiled kernel, ``_window.c`` as a ctypes library, built on
-    first use; None when it cannot be built or loaded, and shots and
-    windows run in Python."""
-    try:
-        kernel = _load_kernel()
-    except (OSError, subprocess.SubprocessError):
-        return None
-    kernel.source_window.restype = ctypes.c_int64
-    return kernel
-
-
 def apply_spin_decay(spin: SpinWave, elapsed: float, atoms: AtomParams,
                      rng: np.random.Generator) -> SpinWave:
     """Collective dephasing over ``elapsed`` seconds: with probability
@@ -560,8 +425,9 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord:
 
     One call of the compiled ``shot`` when the kernel runs this
     configuration, else ``_run_shot_py``.  A shot in which the kernel
-    meets a draw that numpy's Generator rejects runs again in
-    ``_run_shot_py``, so that the Generator raises its own error.
+    meets a draw that numpy's Generator rejects, or that stores more than
+    ``_kernel._ETA_CAPACITY`` excitations, runs again in ``_run_shot_py``,
+    where the Generator raises its own error.
     ``_scratch`` is ``_shot_scratch(config)``, reused across a chunk, and
     built here when None."""
     shot, args, ref, record, stream = _scratch or _shot_scratch(config)
@@ -578,18 +444,15 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord:
 
 def _run_shot_py(config: RunConfig, shot_index: int, stream=None) -> ShotRecord:
     """``run_shot`` in Python, the reference for the compiled ``shot``.
-    ``stream`` is a Philox, its Generator and its ``_bitgen_address``,
-    rekeyed here for the shot; a fresh ``shot_rng`` is used when None."""
-    if stream is None:
-        rng, address = shot_rng(config.master_seed, shot_index), None
-    else:
-        rng = _rekey_shot_stream(stream, config.master_seed, shot_index)
-        address = stream[2]
+    ``stream`` is a Philox and its Generator, rekeyed here for the shot; a
+    fresh ``shot_rng`` is used when None."""
+    rng = (shot_rng(config.master_seed, shot_index) if stream is None
+           else _rekey_shot_stream(stream, config.master_seed, shot_index))
     spin = sample_gate_storage(config.gate, config.coop, rng)
     n_stored = spin.n_exc
     spin = apply_spin_decay(spin, config.timing.total_storage_time, config.atoms, rng)
     transmitted, spin = evolve_source_window(
-        spin, config.source, config.pumping, config.cavity, config.atoms, rng, address)
+        spin, config.source, config.pumping, config.cavity, config.atoms, rng)
     outside = int(rng.binomial(transmitted, config.cavity.outcoupling))
     retrieved = False
     if config.retrieval_mode:
@@ -603,29 +466,6 @@ def _run_shot_py(config: RunConfig, shot_index: int, stream=None) -> ShotRecord:
     return ShotRecord(shot_index, n_stored, transmitted, outside,
                       n_stored > 0 and not spin.coherent, retrieved,
                       spin.survived_decay, detected_source, detected_gate)
-
-
-class _ShotArgs(ctypes.Structure):
-    """``struct shot_args`` of ``_window.c``, field for field."""
-
-    _fields_ = [("master_seed", ctypes.c_uint64), ("shot_index", ctypes.c_uint64),
-                ("record", ctypes.c_int64 * len(ShotRecord._fields)),
-                ("stored_mean", ctypes.c_double), ("n_levels", ctypes.c_int64),
-                ("standing_wave", ctypes.c_int64),
-                ("levels", ctypes.POINTER(ctypes.c_double)), ("coop_scale", ctypes.c_double),
-                ("storage_time", ctypes.c_double), ("survival", ctypes.c_double),
-                ("source_mean", ctypes.c_double), ("eta_capacity", ctypes.c_int64),
-                ("window", ctypes.POINTER(ctypes.c_double)),
-                *((name, ctypes.c_double) for name in (
-                    "hop_prob", "hop_ratio", "eta_floor", "delta", "empty_t", "cavity_re",
-                    "cavity_im", "atom_re", "atom_im", "lorentzian", "outcoupling")),
-                ("retrieval_mode", ctypes.c_int64),
-                *((name, ctypes.c_double) for name in (
-                    "retrieval_efficiency", "source_efficiency", "source_dark_mean",
-                    "gate_efficiency", "gate_dark_mean"))]
-
-
-_ETA_CAPACITY = 1024  # stored excitations a compiled shot holds; more run in Python
 
 
 def _dark_mean(rate: float, window: float) -> float:
@@ -648,26 +488,23 @@ def _shot_scratch(config: RunConfig) -> tuple:
     dark-count means and, for a detuned window, the empty-cavity T, the
     complex denominators of ``qed.cavity_transmission_spectrum`` and the
     Lorentzian of ``_transmission_and_scatter``."""
-    kernel = _window_kernel() if _kernel_can_run(config.source, config.pumping) else None
+    kernel = (_kernel._window_kernel() if _kernel_can_run(config.source, config.pumping)
+              else None)
     if kernel is None:
         bitgen = np.random.Philox(key=0)  # rekeyed for every shot
-        return None, None, None, None, (bitgen, np.random.Generator(bitgen),
-                                        _bitgen_address(bitgen))
+        return None, None, None, None, (bitgen, np.random.Generator(bitgen))
     cavity, atoms, coop, timing = config.cavity, config.atoms, config.coop, config.timing
     det, delta = config.detection, config.source.detuning
-    levels = [value for level in coop.levels or () for value in level]
     cavity_denominator = 1.0 + 2.0j * delta / cavity.kappa
     atom_denominator = 1.0 + 2.0j * delta / atoms.gamma
     x = 2.0 * delta / atoms.gamma
-    args = _ShotArgs(
+    return *_kernel.pack_shot(
+        kernel, [value for level in coop.levels or () for value in level],
         master_seed=config.master_seed, stored_mean=config.gate.stored_mean,
-        n_levels=len(levels) // 2, standing_wave=coop.standing_wave,
-        levels=(ctypes.c_double * len(levels))(*levels),
-        coop_scale=coop.eta0 * coop.geometric_weight,
+        standing_wave=coop.standing_wave, coop_scale=coop.eta0 * coop.geometric_weight,
         storage_time=timing.total_storage_time,
         survival=math.exp(-timing.total_storage_time / atoms.tau_spinwave),
-        source_mean=config.source.mean_source_photons, eta_capacity=_ETA_CAPACITY,
-        window=(ctypes.c_double * (6 + _ETA_CAPACITY))(),
+        source_mean=config.source.mean_source_photons,
         hop_prob=config.pumping.hop_prob_per_scatter,
         hop_ratio=config.pumping.eta_ratio_after_hop, eta_floor=ETA_FLOOR, delta=delta,
         empty_t=qed.cavity_transmission_spectrum(delta, (), cavity, atoms),
@@ -679,11 +516,7 @@ def _shot_scratch(config: RunConfig) -> tuple:
         source_efficiency=det.source_path_efficiency,
         source_dark_mean=_dark_mean(det.source_dark_rate, timing.source_window),
         gate_efficiency=det.gate_path_efficiency,
-        gate_dark_mean=_dark_mean(det.gate_dark_rate, timing.storage_ramp))
-    # the 64-bit seed and shot index travel in the struct, passed by a
-    # prebuilt reference: without argtypes, which doubled the call time,
-    # ctypes would pass a Python int as a 32-bit C int
-    return kernel.shot, args, ctypes.byref(args), args.record, None
+        gate_dark_mean=_dark_mean(det.gate_dark_rate, timing.storage_ramp)), None
 
 
 def _run_range(args) -> np.recarray:
@@ -718,7 +551,7 @@ def run_experiment(config: RunConfig, workers: int = 1) -> np.recarray:
     # at least one pool process, so that every parallel call makes a pool
     shares = max(2, bound_workers(workers, n))
     if _kernel_can_run(config.source, config.pumping):
-        _window_kernel()  # built here once, not in every pool process
+        _kernel._window_kernel()  # built here once, not in every pool process
     ranges = [(config, n * i // shares, n * (i + 1) // shares) for i in range(shares)]
     with ProcessPoolExecutor(max_workers=shares - 1) as pool:
         futures = [pool.submit(_run_range, share) for share in ranges[1:]]

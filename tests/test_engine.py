@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import ctypes
 import functools
 import inspect
 import math
 import os
+import pathlib
 import shutil
 import struct
 import subprocess
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from photon_transistor import engine, presets, runner
+from photon_transistor import _kernel, engine, presets, runner
 from photon_transistor.config import default_config
 from photon_transistor.engine import (SHOT_DTYPE, DetectionChain, GatePulse,
                                       PumpingModel, RunConfig, SourceDrive, SpinWave,
@@ -248,28 +250,28 @@ class TestSourceWindow:
 
 
 def _require_compiler():
-    if shutil.which(engine._CC) is None:
-        pytest.skip(f"no C compiler found ({engine._CC!r} is not on PATH)")
+    if shutil.which(_kernel._CC) is None:
+        pytest.skip(f"no C compiler found ({_kernel._CC!r} is not on PATH)")
 
 
 def _require_kernel():
     """Skip without a C compiler; with one, the window kernel must build."""
     _require_compiler()
-    assert engine._window_kernel() is not None, "the window kernel did not build"
+    assert _kernel._window_kernel() is not None, "the window kernel did not build"
 
 
-def _python_windows():
-    """Every source window runs in Python while this is active."""
-    return mock.patch.object(engine, "_window_kernel", lambda: None)
+def _python_shots():
+    """Every shot runs in Python while this is active."""
+    return mock.patch.object(_kernel, "_window_kernel", lambda: None)
 
 
 @pytest.fixture
 def cold_kernel_cache(monkeypatch, tmp_path):
     """An empty kernel cache directory, and no kernel loaded yet."""
-    monkeypatch.setattr(engine, "_KERNEL_CACHE", str(tmp_path / "cache"))
-    engine._window_kernel.cache_clear()
+    monkeypatch.setattr(_kernel, "_KERNEL_CACHE", str(tmp_path / "cache"))
+    _kernel._window_kernel.cache_clear()
     yield tmp_path / "cache"
-    engine._window_kernel.cache_clear()
+    _kernel._window_kernel.cache_clear()
 
 
 def test_total_eta_adds_left_to_right():
@@ -277,20 +279,63 @@ def test_total_eta_adds_left_to_right():
     assert SpinWave(3, [1.0, 1e-16, 1e-16]).total_eta() == 1.0
 
 
-def test_bitgen_address_is_the_ctypes_address():
-    bitgen = np.random.Philox(key=5)
-    assert engine._bitgen_address(bitgen).value == bitgen.ctypes.bit_generator.value
+def test_only_the_kernel_module_imports_ctypes():
+    importers = set()
+    for path in pathlib.Path(engine.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "ctypes" for m in modules):
+                importers.add(path.name)
+    assert importers == {"_kernel.py"}
+
+
+def _compiled_window(spin, source, pumping, cavity, atoms, rng):
+    """``evolve_source_window`` with the loop run by the kernel's exported
+    ``source_window``, drawing from ``rng``'s bit generator at numpy's
+    public ctypes address.  The photon number is drawn here as the Python
+    window draws it, and a detuned window's T and S are computed here, as
+    ``shot`` computes them.  Returns the kernel's return value, negative
+    for a draw numpy's Generator rejects, and the updated spin."""
+    n_attempt = int(rng.poisson(source.mean_source_photons))
+    delta = source.detuning
+    # a resonant window computes its own T and S in the kernel
+    t, s = ((0.0, 0.0) if delta == 0.0 else
+            engine._window_probabilities(delta, spin.total_eta(), cavity, atoms))
+    n = len(spin.etas)
+    # the argument layout of source_window in _window.c
+    counts = (ctypes.c_int64 * 4)(n_attempt, n)
+    values = (ctypes.c_double * (n + 6))(pumping.hop_prob_per_scatter,
+                                          pumping.eta_ratio_after_hop, ETA_FLOOR,
+                                          delta, t, s, *spin.etas)
+    window = _kernel._window_kernel()["source_window"]  # a function object of its own
+    window.restype = ctypes.c_int64
+    transmitted = window(rng.bit_generator.ctypes.bit_generator, counts, values)
+    if counts[2]:
+        spin.n_scatters += counts[2]
+        if spin.first_scatter_photon is None:
+            spin.first_scatter_photon = counts[3]
+        spin.coherent = False
+        spin.etas[:] = values[6:]
+    return transmitted, spin
 
 
 def _assert_windows_equal(etas, source, pumping, rng):
-    """The kernel and the Python loop, from equal spins and streams, give
-    the same window and leave the stream in the same state."""
+    """The kernel's window and the Python one, from equal spins and
+    streams, give the same window and leave the stream in the same state.
+    Windows that are detuned and pumped are not compared: they run in
+    Python only."""
+    if not engine._kernel_can_run(source, pumping):
+        return
     rng_py = np.random.Generator(np.random.Philox())
     rng_py.bit_generator.state = rng.bit_generator.state
     spin, spin_py = SpinWave(len(etas), list(etas)), SpinWave(len(etas), list(etas))
-    n, spin = evolve_source_window(spin, source, pumping, CAVITY, ATOMS, rng)
-    n_py, spin_py = engine._evolve_source_window_py(spin_py, source, pumping,
-                                                    CAVITY, ATOMS, rng_py)
+    n, spin = _compiled_window(spin, source, pumping, CAVITY, ATOMS, rng)
+    n_py, spin_py = evolve_source_window(spin_py, source, pumping, CAVITY, ATOMS, rng_py)
     assert n == n_py
     assert spin == spin_py  # etas, n_scatters, first photon, coherent
     assert repr(rng.bit_generator.state) == repr(rng_py.bit_generator.state)
@@ -327,7 +372,7 @@ def _check_random_windows(eta0, levels, standing_wave, stored, photons, detuning
     for i in range(cfg.n_shots):
         spin = sample_gate_storage(cfg.gate, cfg.coop, shot_rng(seed, i))
         _assert_windows_equal(spin.etas, cfg.source, cfg.pumping, shot_rng(seed, i))
-    with _python_windows():
+    with _python_shots():
         expected = [run_shot(cfg, i) for i in range(cfg.n_shots)]
     assert [run_shot(cfg, i) for i in range(cfg.n_shots)] == expected
 
@@ -339,9 +384,9 @@ SANITIZED_RUN = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import test_engine as t
-t.engine._KERNEL_CACHE = sys.argv[2]
-t.engine._CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
-assert t.engine._window_kernel() is not None, "the sanitized kernel did not build"
+t._kernel._KERNEL_CACHE = sys.argv[2]
+t._kernel._CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+assert t._kernel._window_kernel() is not None, "the sanitized kernel did not build"
 t.settings(max_examples=40, deadline=None)(t.RANDOM_WINDOWS(t._check_random_windows))()
 """
 
@@ -369,7 +414,7 @@ class TestWindowKernel:
         preset = (presets.custom_preset(default_config()) if name == "custom"
                   else presets.get_preset(name))
         configs = runner.point_configs(preset, 40, 5)
-        with _python_windows():
+        with _python_shots():
             expected = runner.run_preset_points(configs)
         for cfg, table in zip(configs, expected):
             assert np.array_equal(run_experiment(cfg), table)
@@ -407,34 +452,46 @@ class TestWindowKernel:
     ])
     def test_raises_what_the_generator_raises(self, etas, source, pumping, match):
         _require_kernel()
-        errors = []
-        for window in (evolve_source_window, engine._evolve_source_window_py):
-            with pytest.raises(ValueError, match=match) as info:
-                window(SpinWave(len(etas), list(etas)), source, pumping, CAVITY,
-                       ATOMS, shot_rng(0, 0))
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
+        def run(window):
+            return window(SpinWave(len(etas), list(etas)), source, pumping, CAVITY, ATOMS,
+                          shot_rng(0, 0))
+
+        with pytest.raises(ValueError, match=match):
+            run(evolve_source_window)
+        if match == "lam value too large":
+            # the photon number is drawn before either loop runs
+            with pytest.raises(ValueError, match=match):
+                run(_compiled_window)
+        else:
+            assert run(_compiled_window)[0] < 0
+
+    def test_python_window_does_not_build_the_kernel(self, cold_kernel_cache):
+        _, spin = evolve_source_window(spin_with(3.3, 3), SourceDrive(200.0),
+                                       PumpingModel(0.5, 0.8), CAVITY, ATOMS, shot_rng(1, 0))
+        assert spin.n_scatters > 0
+        assert _kernel._window_kernel.cache_info().misses == 0
+        assert not cold_kernel_cache.exists()
 
     def test_missing_compiler_falls_back_to_python(self, cold_kernel_cache, monkeypatch):
         configs = [base_config(n_shots=200, source=SourceDrive(300.0),
                                pumping=PumpingModel(0.5, 0.8)),
                    base_config(n_shots=200, source=SourceDrive(300.0, DETUNED))]
-        with _python_windows():
+        with _python_shots():
             expected = [run_experiment(cfg) for cfg in configs]
-        monkeypatch.setattr(engine, "_CC", str(cold_kernel_cache / "no-such-cc"))
+        monkeypatch.setattr(_kernel, "_CC", str(cold_kernel_cache / "no-such-cc"))
         for cfg, table in zip(configs, expected):
             assert np.array_equal(run_experiment(cfg), table)
-        assert engine._window_kernel() is None
+        assert _kernel._window_kernel() is None
         assert list(cold_kernel_cache.iterdir()) == []
 
     def test_unwritable_cache_builds_in_a_private_directory(self, cold_kernel_cache,
                                                             monkeypatch, tmp_path):
         _require_compiler()
         (tmp_path / "file").write_text("")
-        monkeypatch.setattr(engine, "_KERNEL_CACHE", str(tmp_path / "file" / "cache"))
+        monkeypatch.setattr(_kernel, "_KERNEL_CACHE", str(tmp_path / "file" / "cache"))
         monkeypatch.setattr(tempfile, "tempdir", str(cold_kernel_cache))
         cold_kernel_cache.mkdir()
-        assert engine._window_kernel() is not None
+        assert _kernel._window_kernel() is not None
         assert list(cold_kernel_cache.iterdir()) == []  # removed once loaded
 
     def test_parallel_run_builds_once_in_the_parent(self, cold_kernel_cache,
@@ -443,12 +500,12 @@ class TestWindowKernel:
         log = tmp_path / "cc.log"
         cc = tmp_path / "cc"
         cc.write_text(f'#!/bin/sh\necho $PPID >> "{log}"\n'
-                      f'exec "{shutil.which(engine._CC)}" "$@"\n')
+                      f'exec "{shutil.which(_kernel._CC)}" "$@"\n')
         cc.chmod(0o755)
-        monkeypatch.setattr(engine, "_CC", str(cc))
+        monkeypatch.setattr(_kernel, "_CC", str(cc))
         for delta in (0.0, DETUNED):  # each from a cold cache
-            monkeypatch.setattr(engine, "_KERNEL_CACHE", str(tmp_path / f"cache{delta}"))
-            engine._window_kernel.cache_clear()
+            monkeypatch.setattr(_kernel, "_KERNEL_CACHE", str(tmp_path / f"cache{delta}"))
+            _kernel._window_kernel.cache_clear()
             run_experiment(base_config(n_shots=400, source=SourceDrive(300.0, delta)),
                            workers=2)
         assert log.read_text().split() == [str(os.getpid())] * 2
@@ -464,11 +521,11 @@ class TestWindowKernel:
         untagged = cold_kernel_cache / "_window.0123456789abcdef.so"  # earlier versions
         untagged.write_bytes(b"")
         edited = tmp_path / "_window.c"
-        with open(engine._KERNEL_SOURCE) as fh:
+        with open(_kernel._KERNEL_SOURCE) as fh:
             edited.write_text(fh.read() + "/* edited */\n")
-        monkeypatch.setattr(engine, "_KERNEL_SOURCE", str(edited))
-        engine._window_kernel.cache_clear()
-        assert engine._window_kernel() is not None
+        monkeypatch.setattr(_kernel, "_KERNEL_SOURCE", str(edited))
+        _kernel._window_kernel.cache_clear()
+        assert _kernel._window_kernel() is not None
         names = {p.name for p in cold_kernel_cache.iterdir()}
         assert other.name in names  # another interpreter's library stays
         assert untagged.name not in names
@@ -480,10 +537,10 @@ class TestWindowKernel:
     def test_import_and_preset_setup_do_not_build(self):
         # what the benchmark times as setup: import, preset, reference table
         probe = ("import photon_transistor\n"
-                 "from photon_transistor import engine, presets, runner\n"
+                 "from photon_transistor import _kernel, presets, runner\n"
                  "presets.get_preset('fig4ab')\n"
                  "runner.reference_for('fig4ab')\n"
-                 "print(engine._window_kernel.cache_info().misses)\n")
+                 "print(_kernel._window_kernel.cache_info().misses)\n")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, check=True,
                               env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
@@ -492,9 +549,9 @@ class TestWindowKernel:
     def test_kernel_source_compiles_without_warnings(self, tmp_path):
         _require_compiler()
         done = subprocess.run(
-            [engine._CC, *engine._CFLAGS, "-Wall", "-Wextra", "-Werror", "-c",
+            [_kernel._CC, *_kernel._CFLAGS, "-Wall", "-Wextra", "-Werror", "-c",
              "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
-             "-o", str(tmp_path / "window.o"), engine._KERNEL_SOURCE],
+             "-o", str(tmp_path / "window.o"), _kernel._KERNEL_SOURCE],
             capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
@@ -884,8 +941,8 @@ class TestShotKernel:
         _require_kernel()
         for index in (0, 1, 2 ** 64 - 1):
             raw = (ctypes.c_uint64 * 9)()
-            engine._window_kernel().philox_raw((ctypes.c_uint64 * 2)(seed, index), raw,
-                                               ctypes.c_int64(9))
+            _kernel._window_kernel().philox_raw((ctypes.c_uint64 * 2)(seed, index), raw,
+                                                ctypes.c_int64(9))
             # nine words cross the boundary of the 4-word blocks twice
             assert list(raw) == shot_rng(seed, index).bit_generator.random_raw(9).tolist()
 
@@ -901,7 +958,7 @@ class TestShotKernel:
         shot, args, ref, record, stream = engine._shot_scratch(
             base_config(source=unchecked_drive(1.0, delta)))
         ported = (ctypes.c_double * 2)(total)
-        engine._window_kernel().window_probabilities_of(ref, ported)
+        _kernel._window_kernel().window_probabilities_of(ref, ported)
         expected = engine._window_probabilities(delta, total, CAVITY, ATOMS)
         formulas = [f(delta, total, CAVITY.kappa, ATOMS.gamma, ETA_FLOOR)
                     for f in (_real_window_probabilities, _complex_window_probabilities)]
@@ -941,7 +998,7 @@ class TestShotKernel:
         cfg = base_config(**overrides)
         errors = []
         for python_only in (False, True):
-            with _python_windows() if python_only else contextlib.nullcontext():
+            with _python_shots() if python_only else contextlib.nullcontext():
                 with pytest.raises(ValueError, match=match) as info:
                     for i in range(10):
                         run_shot(cfg, i)
@@ -954,7 +1011,7 @@ class TestShotKernel:
                           retrieval_mode=True, detection=DetectionChain(0.7, 0.5, 1e5, 1e5))
         with mock.patch.object(engine, "_run_shot_py", side_effect=AssertionError):
             records = [run_shot(cfg, i) for i in range(200)]
-        with _python_windows():
+        with _python_shots():
             assert records == [run_shot(cfg, i) for i in range(200)]
         for field in ("collapsed", "retrieved", "survived_decay"):
             values = [getattr(r, field) for r in records]
@@ -968,17 +1025,17 @@ class TestShotKernel:
 
     def test_more_stored_excitations_than_the_kernel_holds(self, monkeypatch):
         _require_kernel()
-        monkeypatch.setattr(engine, "_ETA_CAPACITY", 2)
+        monkeypatch.setattr(_kernel, "_ETA_CAPACITY", 2)
         cfg = base_config(gate=GatePulse(3.0, 1.0, 1.0), source=SourceDrive(40.0),
                           n_shots=300)
-        with _python_windows():
+        with _python_shots():
             expected = run_experiment(cfg)
         assert np.array_equal(run_experiment(cfg), expected)
         assert expected.n_stored.max() > 2
 
     def test_address_sanitized_random_shots_equal_python(self, tmp_path):
         _require_compiler()
-        libasan = subprocess.run([engine._CC, "-print-file-name=libasan.so"],
+        libasan = subprocess.run([_kernel._CC, "-print-file-name=libasan.so"],
                                  capture_output=True, text=True, check=True).stdout.strip()
         # pymalloc's pools are not poisoned: PYTHONMALLOC=malloc lets the
         # sanitizer see the bounds of every ctypes buffer
@@ -997,8 +1054,8 @@ SANITIZER_RUN = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import test_engine as t
-t.engine._KERNEL_CACHE = sys.argv[2]
-t.engine._CFLAGS += tuple(sys.argv[3:])
-assert t.engine._window_kernel() is not None, "the sanitized kernel did not build"
+t._kernel._KERNEL_CACHE = sys.argv[2]
+t._kernel._CFLAGS += tuple(sys.argv[3:])
+assert t._kernel._window_kernel() is not None, "the sanitized kernel did not build"
 t.settings(max_examples=40, deadline=None)(t.RANDOM_WINDOWS(t._check_random_windows))()
 """
