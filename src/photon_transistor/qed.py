@@ -1,6 +1,5 @@
 """Closed-form cavity QED relations for a single-mode cavity containing
-blocking atoms, and Monte Carlo averaging of inhomogeneous atom-cavity
-coupling.
+blocking atoms, and averages over inhomogeneous atom-cavity coupling.
 
 The central quantity is the single-atom cooperativity eta.  One resonant
 atom coupled to the cavity mode suppresses the resonant transmission to
@@ -20,7 +19,9 @@ different polarization overlap factors, so the cooperativity seen by a
 stored excitation is a random variable.  Because T and S are nonlinear
 in eta, averaging over that distribution yields *different* effective
 cooperativities depending on which observable is matched; this module
-computes all three (plain mean, extinction-matched, scattering-matched).
+estimates all three (plain mean, extinction-matched, scattering-matched)
+by Monte Carlo.  The gain-slope prediction (``mean_blocked_transmission``)
+is an exact finite sum.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ import numpy as np
 
 # Below this summed cooperativity the cavity is treated as empty.
 ETA_FLOOR = 1e-12
-
-# Values per rng call in mean_blocked_transmission; bounds its working memory.
-_ORACLE_BLOCK = 1 << 15
 
 
 def check_range(obj, names: str, lo: float = 0.0, hi: float = math.inf,
@@ -266,8 +264,21 @@ def matched_level_mixture(eta_scattering: float, mean_extinction: float,
     )
 
 
-def mean_blocked_transmission(model: CooperativityModel, stored_mean: float,
-                              n_samples: int, rng: np.random.Generator) -> float:
+def _poisson_probabilities(mean: float, tail: float) -> np.ndarray:
+    """Poisson(``mean``) probabilities of the counts 0, 1, ..., cut above the
+    mode where the probability left beyond is below ``tail``."""
+    mode = math.floor(mean)
+    q = math.exp(mode * math.log(mean) - mean - math.lgamma(mode + 1)) if mean > 0 else 1.0
+    # below the mode p(n - 1) = p(n) n / mean
+    probs = [*(q * np.cumprod(np.arange(mode, 0, -1) / mean))[::-1], q]
+    # above the mode the ratio r of neighbouring probabilities falls, so all
+    # that lies beyond the last count is at most its probability * r / (1 - r)
+    while probs[-1] * (r := mean / len(probs)) >= tail * (1 - r):
+        probs.append(probs[-1] * r)
+    return np.array(probs)
+
+
+def mean_blocked_transmission(model: CooperativityModel, stored_mean: float) -> float:
     """Average resonant transmission conditioned on at least one stored
     excitation, for a Poissonian stored number with mean ``stored_mean``
     and independently drawn per-excitation cooperativities.
@@ -275,39 +286,32 @@ def mean_blocked_transmission(model: CooperativityModel, stored_mean: float,
     Used as an independent prediction for the small-signal transistor
     gain slope, 1 - <T | n >= 1>.
 
-    The stream is consumed as by one call of each size: every one of the
-    ``n_samples`` Poisson counts first, then the cooperativities of the
-    occupied draws in order.  Both are drawn in blocks of ``_ORACLE_BLOCK``
-    values (a draw with more excitations than that gets a block of its
-    own), so besides one float64 per occupied draw and its count in the
-    smallest integer type, memory stays within a few blocks whatever
-    ``n_samples`` is.  The result equals that of one unblocked draw bit
-    for bit.
+    Exact for a levels model and a constant one (one level eta0 *
+    geometric_weight).  Poisson thinning makes each level's count an
+    independent Poisson of mean stored_mean * p_k (Kingman, *Poisson
+    Processes*, 1993), so the average is a finite sum over a grid of
+    per-level counts, each cut where its tail is below double precision.
+    A standing-wave model is refused.
     """
     if not (math.isfinite(stored_mean) and stored_mean > 0):
         raise ValueError(f"stored_mean must be finite and > 0, got {stored_mean!r}")
-    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
-            or n_samples < 1):
-        raise ValueError(f"n_samples must be an int >= 1, got {n_samples!r}")
-    counts = []
-    for start in range(0, n_samples, _ORACLE_BLOCK):
-        drawn = rng.poisson(stored_mean, size=min(_ORACLE_BLOCK, n_samples - start))
-        counts.append(drawn[drawn >= 1].astype(np.min_scalar_type(drawn.max())))
-    weights = np.empty(sum(c.size for c in counts))
-    if weights.size == 0:
-        raise ValueError("no occupied draws; increase n_samples")
-    done = 0
-    for chunk in counts:
-        # draw i of the chunk owns cooperativities starts[i]:starts[i + 1]
-        starts = np.concatenate(([0], np.cumsum(chunk, dtype=np.int64)))
-        first = 0
-        while first < chunk.size:
-            stop = max(int(np.searchsorted(starts, starts[first] + _ORACLE_BLOCK,
-                                           side="right")) - 1, first + 1)
-            etas = _sample_cooperativities(model, int(starts[stop] - starts[first]), rng)
-            totals = np.add.reduceat(etas, starts[first:stop] - starts[first])
-            weights[done:done + totals.size] = (1.0 + totals) ** -2
-            done += totals.size
-            first = stop
-    # one mean over every draw: a blockwise mean would round differently
-    return float(np.mean(weights))
+    if model.levels is None and model.standing_wave:
+        raise ValueError("mean_blocked_transmission needs a levels or constant "
+                         "cooperativity model, not a standing-wave one")
+    levels = model.levels or ((model.eta0 * model.geometric_weight, 1.0),)
+    occupied = -math.expm1(-stored_mean)
+    tail = np.finfo(float).eps * occupied / len(levels)
+    (eta_first, probs_first), *rest = [
+        (eta, _poisson_probabilities(stored_mean * prob, tail)) for eta, prob in levels]
+    # every cell of the levels after the first: summed cooperativity and probability
+    totals, weights = np.zeros(1), np.ones(1)
+    for eta, probs in rest:
+        totals = (totals[:, None] + eta * np.arange(probs.size)).ravel()
+        weights = (weights[:, None] * probs).ravel()
+    rows = []
+    for n, p in enumerate(probs_first):
+        row = weights * (1.0 + (n * eta_first + totals)) ** -2
+        if n == 0:
+            row[0] = 0.0  # the cell with no stored excitation
+        rows.append(p * row.sum())
+    return math.fsum(rows) / occupied

@@ -32,7 +32,6 @@ from .engine import RunConfig, run_experiment
 from .presets import (FIG4AB_LINEAR_POINTS, ExperimentPreset,
                       REFERENCE_TABLES, scale_point_shots)
 
-SLOPE_ORACLE_SAMPLES = 1_000_000
 GAIN_RESAMPLES = 200
 
 
@@ -122,13 +121,6 @@ def _analyze_fig3(points, runs):
     return header, rows, summary, extra
 
 
-def _gain_slope_prediction(config: RunConfig) -> float:
-    rng = np.random.default_rng(2024)
-    mean_t = qed.mean_blocked_transmission(
-        config.coop, config.gate.stored_mean, SLOPE_ORACLE_SAMPLES, rng)
-    return 1.0 - mean_t
-
-
 def _analyze_fig4ab(points, runs):
     strengths, gains = [], []
     rows = []
@@ -143,7 +135,8 @@ def _analyze_fig4ab(points, runs):
     gs = np.array([e.g for e in gains])
     k = FIG4AB_LINEAR_POINTS
     slope, _ = stats.fit_linear(xs[:k], gs[:k])
-    prediction = _gain_slope_prediction(points[0].config)
+    config = points[0].config
+    prediction = 1.0 - qed.mean_blocked_transmission(config.coop, config.gate.stored_mean)
     peak_idx = int(np.argmax(gs))
     plateau = gs[-1]
     sat_scale = float("nan")

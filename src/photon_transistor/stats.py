@@ -436,8 +436,10 @@ def g2_cross(gate_counts, source_counts, backgrounds: tuple[float, float] = (0.0
     percentiles and generally asymmetric."""
     g = np.asarray(gate_counts, dtype=float)
     s = np.asarray(source_counts, dtype=float)
-    if g.shape != s.shape or g.ndim != 1 or g.size < 2:
+    if g.shape != s.shape or g.ndim != 1:
         raise ValueError("gate and source counts must be equal-length 1-d arrays")
+    if g.size < 2:
+        raise ValueError(f"g2_cross needs at least 2 shots, got {g.size}")
     dg, ds = backgrounds
 
     def estimate(mg, ms, mgs):

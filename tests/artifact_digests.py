@@ -9,7 +9,8 @@ Numpy's ``Generator`` does not promise the same streams across releases,
 so digests are keyed by the Python minor version, the numpy version and
 the machine.  ``test_artifact_digests.py`` compares fresh runs, serial and
 parallel, against the recorded entry.  A change that means to move bytes
-regenerates the file and names the moved artifacts and keys.
+regenerates the file, which prints the artifacts whose digests moved,
+and names them and the key in its change notes.
 """
 
 import hashlib
@@ -49,13 +50,25 @@ def artifact_digests(out_root: Path, workers: int) -> dict[str, str]:
     return digests
 
 
+def moved_artifacts(previous: dict[str, str], current: dict[str, str]) -> list[str]:
+    """Names whose digest differs between two entries, or that only one has."""
+    return sorted(name for name in previous.keys() | current.keys()
+                  if previous.get(name) != current.get(name))
+
+
 def main() -> None:
     recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    key = environment_key()
+    previous = recorded.get(key)
     with tempfile.TemporaryDirectory() as tmp:
-        recorded[environment_key()] = artifact_digests(Path(tmp), workers=1)
+        recorded[key] = artifact_digests(Path(tmp), workers=1)
     DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded[environment_key()])} digests for "
-          f"{environment_key()} in {DIGESTS}")
+    print(f"recorded {len(recorded[key])} digests for {key} in {DIGESTS}")
+    if previous is None:
+        print("no previous entry for this environment")
+    else:
+        moved = moved_artifacts(previous, recorded[key])
+        print(f"moved against the previous entry: {', '.join(moved) or 'none'}")
 
 
 if __name__ == "__main__":

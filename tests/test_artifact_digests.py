@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from artifact_digests import DIGESTS, artifact_digests, environment_key
+from artifact_digests import (DIGESTS, artifact_digests, environment_key,
+                              moved_artifacts)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -18,6 +19,17 @@ def test_artifacts_equal_the_recorded_digests(workers, tmp_path):
                     f"whose output is known to be right")
     digests = artifact_digests(tmp_path, workers)
     assert len(digests) == 19
-    moved = sorted(name for name in recorded[key].keys() | digests.keys()
-                   if recorded[key].get(name) != digests.get(name))
+    moved = moved_artifacts(recorded[key], digests)
     assert not moved, f"artifacts differ from the recorded digests: {moved}"
+
+
+def test_regeneration_names_the_moved_artifacts(tmp_path, monkeypatch, capsys):
+    import artifact_digests as ad
+    monkeypatch.setattr(ad, "DIGESTS", tmp_path / "digests.json")
+    ad.DIGESTS.write_text(json.dumps({environment_key(): {"a/x": "1", "b/y": "2",
+                                                          "c/z": "3"}}))
+    monkeypatch.setattr(ad, "artifact_digests",
+                        lambda out, workers: {"a/x": "1", "b/y": "9", "d/w": "4"})
+    ad.main()
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "moved against the previous entry: b/y, c/z, d/w")

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from photon_transistor.presets import matched_pair_cooperativity
-from photon_transistor.qed import (_ORACLE_BLOCK, AtomParams, CavityParams,
+from photon_transistor.qed import (AtomParams, CavityParams,
                                    CooperativityModel,
                                    cavity_transmission_spectrum,
                                    effective_cooperativities, extinction,
@@ -15,7 +17,6 @@ from photon_transistor.qed import (_ORACLE_BLOCK, AtomParams, CavityParams,
                                    mean_blocked_transmission,
                                    sample_cooperativity,
                                    _sample_cooperativities)
-from photon_transistor.runner import SLOPE_ORACLE_SAMPLES
 
 CAVITY = CavityParams(kappa=2 * math.pi * 1e6, mirror_transmission=6.6e-6,
                       mirror_loss=3.4e-6)
@@ -214,80 +215,109 @@ class TestEffectiveCooperativities:
 
 
 def _one_shot_blocked_transmission(model, stored_mean, n_samples, rng):
-    """The oracle drawn in one piece, as it was before drawing in blocks."""
-    if stored_mean <= 0:
-        raise ValueError("stored_mean must be > 0")
+    """The Monte Carlo oracle: the mean of (1 + sum eta)^-2 over the occupied
+    draws of ``n_samples`` Poisson counts, and its standard error."""
+    if not (math.isfinite(stored_mean) and stored_mean > 0):
+        raise ValueError("stored_mean must be finite and > 0")
     counts = rng.poisson(stored_mean, size=n_samples)
     counts = counts[counts >= 1]
     if counts.size == 0:
         raise ValueError("no occupied draws; increase n_samples")
     etas = _sample_cooperativities(model, int(counts.sum()), rng)
     totals = np.add.reduceat(etas, np.concatenate(([0], np.cumsum(counts)[:-1])))
-    return float(np.mean((1.0 + totals) ** -2))
+    weights = (1.0 + totals) ** -2
+    return float(np.mean(weights)), float(np.std(weights, ddof=1) / math.sqrt(weights.size))
 
 
-ORACLE_MODELS = [matched_pair_cooperativity(), CooperativityModel(eta0=8.6),
+ORACLE_MODELS = [matched_pair_cooperativity(),
                  CooperativityModel(eta0=8.6, standing_wave=False)]
+
+LEVELS = st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.01, 1.0)),
+                  min_size=1, max_size=4)
+
+
+def _levels_model(pairs):
+    """A levels model on (eta, weight) pairs, weights normalized."""
+    total = math.fsum(w for _, w in pairs)
+    return CooperativityModel(eta0=max(eta for eta, _ in pairs), standing_wave=False,
+                              levels=tuple((eta, w / total) for eta, w in pairs))
 
 
 class TestBlockedTransmissionOracle:
     def test_single_excitation_limit(self):
         model = CooperativityModel(eta0=8.6, levels=((1.5, 1.0),))
-        rng = np.random.default_rng(9)
-        mean_t = mean_blocked_transmission(model, 0.02, 500_000, rng)
-        assert abs(mean_t - extinction(1.5)) < 0.002
+        assert abs(mean_blocked_transmission(model, 0.02) - extinction(1.5)) < 0.002
 
-    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=["levels", "standing", "constant"])
+    def test_fig4ab_prediction(self):
+        mean_t = mean_blocked_transmission(matched_pair_cooperativity(), 0.4)
+        assert abs((1.0 - mean_t) - 0.862771979441481) < 1e-12
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=["levels", "constant"])
     @pytest.mark.parametrize("stored_mean", [0.05, 0.4, 3.0])
-    @pytest.mark.parametrize("n_samples", [1, _ORACLE_BLOCK - 1, _ORACLE_BLOCK + 1,
-                                           1_000_003])
-    def test_blocks_equal_one_draw(self, model, stored_mean, n_samples):
-        seed = 10 if n_samples == 1 else 5  # seed 10's one draw is occupied at 0.05
-        expected = _one_shot_blocked_transmission(model, stored_mean, n_samples,
-                                                  np.random.default_rng(seed))
-        got = mean_blocked_transmission(model, stored_mean, n_samples,
-                                        np.random.default_rng(seed))
-        assert got == expected
+    def test_within_four_standard_errors_of_a_draw(self, model, stored_mean):
+        drawn, sem = _one_shot_blocked_transmission(model, stored_mean, 1_000_000,
+                                                    np.random.default_rng(5))
+        assert abs(mean_blocked_transmission(model, stored_mean) - drawn) < 4 * sem
 
-    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=["levels", "standing", "constant"])
-    def test_draw_larger_than_a_block(self, model):
-        stored_mean = 4.0 * _ORACLE_BLOCK
-        expected = _one_shot_blocked_transmission(model, stored_mean, 3,
-                                                  np.random.default_rng(2))
-        assert mean_blocked_transmission(model, stored_mean, 3,
-                                         np.random.default_rng(2)) == expected
+    @settings(max_examples=60, deadline=None)
+    @given(eta=st.floats(0.0, 20.0), stored_mean=st.floats(1e-3, 30.0))
+    def test_split_level_unchanged(self, eta, stored_mean):
+        whole = CooperativityModel(eta0=eta, standing_wave=False, levels=((eta, 1.0),))
+        halves = CooperativityModel(eta0=eta, standing_wave=False,
+                                    levels=((eta, 0.5), (eta, 0.5)))
+        assert abs(mean_blocked_transmission(whole, stored_mean)
+                   - mean_blocked_transmission(halves, stored_mean)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=LEVELS, stored_mean=st.floats(1e-3, 10.0), data=st.data())
+    def test_level_order_unchanged(self, pairs, stored_mean, data):
+        shuffled = data.draw(st.permutations(pairs))
+        assert math.isclose(mean_blocked_transmission(_levels_model(pairs), stored_mean),
+                            mean_blocked_transmission(_levels_model(shuffled), stored_mean),
+                            rel_tol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=LEVELS, stored_mean=st.floats(1e-12, 1e-6))
+    def test_single_excitation_as_stored_mean_vanishes(self, pairs, stored_mean):
+        # P(n > 1 | n >= 1) is about stored_mean / 2
+        model = _levels_model(pairs)
+        limit = math.fsum(prob * extinction(eta) for eta, prob in model.levels)
+        assert abs(mean_blocked_transmission(model, stored_mean) - limit) <= stored_mean
+
+    def test_standing_wave_refused(self):
+        with pytest.raises(ValueError, match="standing-wave"):
+            mean_blocked_transmission(CooperativityModel(eta0=8.6), 0.4)
 
     @pytest.mark.parametrize("stored_mean, n_samples, match", [
         (0.0, 10, "stored_mean"),
         (-1.0, 10, "stored_mean"),
-        (1e-9, 3, "no occupied draws; increase n_samples"),
     ])
     def test_errors_equal_one_draw(self, stored_mean, n_samples, match):
         model = matched_pair_cooperativity()
-        for oracle in (_one_shot_blocked_transmission, mean_blocked_transmission):
-            with pytest.raises(ValueError, match=match):
-                oracle(model, stored_mean, n_samples, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=match):
+            _one_shot_blocked_transmission(model, stored_mean, n_samples,
+                                           np.random.default_rng(0))
+        with pytest.raises(ValueError, match=match):
+            mean_blocked_transmission(model, stored_mean)
 
     @pytest.mark.parametrize("stored_mean, n_samples, match", [
         (math.nan, 10, "stored_mean"),
         (math.inf, 10, "stored_mean"),
-        (0.4, 0, "n_samples"),
-        (0.4, -5, "n_samples"),
-        (0.4, 10.0, "n_samples"),
-        (0.4, True, "n_samples"),
     ])
     def test_inputs_checked_at_entry(self, stored_mean, n_samples, match):
+        model = matched_pair_cooperativity()
         with pytest.raises(ValueError, match=match):
-            mean_blocked_transmission(matched_pair_cooperativity(), stored_mean,
-                                      n_samples, np.random.default_rng(0))
+            _one_shot_blocked_transmission(model, stored_mean, n_samples,
+                                           np.random.default_rng(0))
+        with pytest.raises(ValueError, match=match):
+            mean_blocked_transmission(model, stored_mean)
 
     def test_gain_slope_call_memory(self):
-        # fig4ab's gain-slope prediction: drawn in one piece it peaks at 13.7 MB
+        # fig4ab's gain-slope prediction; the 10^6-sample draw it replaced peaked at 3.7 MB
         model = matched_pair_cooperativity()
         tracemalloc.start()
         try:
-            mean_blocked_transmission(model, 0.4, SLOPE_ORACLE_SAMPLES,
-                                      np.random.default_rng(2024))
+            mean_blocked_transmission(model, 0.4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

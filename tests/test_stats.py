@@ -315,6 +315,12 @@ class TestG2Cross:
         with pytest.raises(ValueError):
             stats.g2_cross(np.ones(10), np.ones(10), backgrounds=(2.0, 0.0))
 
+    def test_one_shot_rejected_by_count(self):
+        with pytest.raises(ValueError, match="at least 2 shots, got 1"):
+            stats.g2_cross(np.ones(1), np.ones(1))
+        with pytest.raises(ValueError, match="equal-length 1-d"):
+            stats.g2_cross(np.ones(3), np.ones(2))
+
 
 class TestFits:
     def test_presets_run_without_scipy(self, tmp_path):
