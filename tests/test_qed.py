@@ -303,9 +303,18 @@ class TestBlockedTransmissionOracle:
     @pytest.mark.parametrize("stored_mean, n_samples, match", [
         (math.nan, 10, "stored_mean"),
         (math.inf, 10, "stored_mean"),
+        (0.4, 0, "n_samples"),
+        (0.4, -5, "n_samples"),
+        (0.4, 10.0, "n_samples"),
+        (0.4, True, "n_samples"),
     ])
     def test_inputs_checked_at_entry(self, stored_mean, n_samples, match):
         model = matched_pair_cooperativity()
+        if match == "n_samples":
+            # the exact oracle takes no sample count, whatever its value
+            with pytest.raises(TypeError, match=match):
+                mean_blocked_transmission(model, stored_mean, n_samples=n_samples)
+            return
         with pytest.raises(ValueError, match=match):
             _one_shot_blocked_transmission(model, stored_mean, n_samples,
                                            np.random.default_rng(0))
