@@ -3,8 +3,9 @@ and the ctypes mirror of the arguments of its ``shot``.
 
 This is the only module that knows the kernel's source, how it is built
 and how its arguments are laid out.  ``engine`` computes what a shot of
-a configuration needs and runs every shot through ``pack_shot``'s
-result; the kernel is built on first use, never at import.
+a configuration needs, allocates a chunk's block of rows, and runs every
+shot of the chunk through ``pack_shot``'s result, which writes each
+record into its row; the kernel is built on first use, never at import.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ class _ShotArgs(ctypes.Structure):
     """``struct shot_args`` of ``_window.c``, field for field."""
 
     _fields_ = [("master_seed", ctypes.c_uint64), ("shot_index", ctypes.c_uint64),
-                ("record", ctypes.c_int64 * 9),  # engine.ShotRecord's fields in order
+                # the chunk's block of rows, engine.ShotRecord's fields in order
+                ("rows", ctypes.POINTER(ctypes.c_int64)), ("first", ctypes.c_uint64),
+                ("n_rows", ctypes.c_uint64),
                 ("stored_mean", ctypes.c_double), ("n_levels", ctypes.c_int64),
                 ("standing_wave", ctypes.c_int64),
                 ("levels", ctypes.POINTER(ctypes.c_double)), ("coop_scale", ctypes.c_double),
@@ -112,17 +115,25 @@ class _ShotArgs(ctypes.Structure):
 _ETA_CAPACITY = 1024  # stored excitations a compiled shot holds; more run in Python
 
 
-def pack_shot(kernel: ctypes.CDLL, levels: list[float], **fields) -> tuple:
-    """``(shot, args, byref(args), args.record)``: ``kernel``'s ``shot``
-    and its arguments, packed once for a chunk of one configuration's
-    shots.  ``levels`` are the flattened (eta, probability) pairs of the
+def pack_shot(kernel: ctypes.CDLL, levels: list[float], rows: np.ndarray, first: int,
+              **fields) -> tuple:
+    """``(shot, args, byref(args))``: ``kernel``'s ``shot`` and its
+    arguments, packed once for a chunk of one configuration's shots.
+    ``levels`` are the flattened (eta, probability) pairs of the
     cooperativity model and ``fields`` the other ``_ShotArgs`` fields but
-    ``shot_index``, which is set per shot, and the record, which ``shot``
-    writes.  The arguments hold a window of ``_ETA_CAPACITY`` etas."""
+    ``shot_index``, which is set per shot.  ``rows`` is the chunk's block,
+    a C-contiguous ``(n, 9)`` int64 array that must outlive the
+    arguments: shot ``first + j`` writes row ``j``, and ``shot`` refuses
+    a shot outside the block.  The arguments hold a window of
+    ``_ETA_CAPACITY`` etas."""
+    if rows.dtype != np.int64 or rows.ndim != 2 or rows.shape[1] != 9 \
+            or not rows.flags.c_contiguous or not rows.flags.writeable:
+        raise ValueError("rows must be a writeable C-contiguous (n, 9) int64 array")
     args = _ShotArgs(n_levels=len(levels) // 2, levels=(ctypes.c_double * len(levels))(*levels),
-                     eta_capacity=_ETA_CAPACITY,
+                     rows=rows.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), first=first,
+                     n_rows=len(rows), eta_capacity=_ETA_CAPACITY,
                      window=(ctypes.c_double * (6 + _ETA_CAPACITY))(), **fields)
     # the 64-bit seed and shot index travel in the struct, passed by a
     # prebuilt reference: without argtypes, which doubled the call time,
     # ctypes would pass a Python int as a 32-bit C int
-    return kernel.shot, args, ctypes.byref(args), args.record
+    return kernel.shot, args, ctypes.byref(args)

@@ -16,6 +16,12 @@
  * against and as the fallback where no compiler is found.  shot is the
  * only compiled path of a simulation; _kernel.py builds and loads it.
  *
+ * shot writes its record, ShotRecord's nine fields as int64, straight
+ * into the shot's row of a block that engine._run_range attaches for a
+ * chunk of shots, so no Python object is made for a shot that the kernel
+ * runs.  It refuses a shot whose row is outside the block and writes
+ * nothing for it.
+ *
  * source_window is the loop of engine.evolve_source_window, the Python
  * reference, once the incident photon number is drawn, branch for branch,
  * drawing from the caller's bit generator; shot calls it, and the tests
@@ -29,14 +35,15 @@
  *
  * Where numpy's Generator would reject a draw, these functions stop
  * before making it and say so; the caller reruns the shot in Python,
- * where the Generator raises its own error.
+ * where the Generator raises its own error, and writes its row.
  */
 #include <math.h>
 #include "numpy/random/distributions.h"
 
 /* return value of source_window when a draw is rejected */
 #define REJECTED (-1)
-/* return value of shot when a draw is rejected or the etas do not fit */
+/* return value of shot when a draw is rejected, the etas do not fit or
+   the shot's row is outside the attached block */
 #define SHOT_IN_PYTHON 1
 
 /* the largest Poisson mean numpy's Generator accepts, computed as numpy does */
@@ -225,11 +232,16 @@ int64_t source_window(bitgen_t *bitgen, int64_t *counts, double *values)
 
 /* One configuration's parameters, packed once per chunk by
  * _kernel.pack_shot (its ctypes mirror is _kernel._ShotArgs), the shot
- * to run, and the record of the last shot run, ShotRecord's fields in
- * order.  Every field is 8 bytes, so the layout has no padding. */
+ * to run, and the chunk's block of rows.  Every field is 8 bytes, so the
+ * layout has no padding. */
 struct shot_args {
     uint64_t master_seed, shot_index;
-    int64_t record[9];
+    /* the chunk's block: n_rows rows of 9 int64, ShotRecord's fields in
+       order; shot i writes row i - first, and a shot outside
+       [first, first + n_rows) is refused.  A block never attached has no
+       rows, so every shot is refused. */
+    int64_t *rows;
+    uint64_t first, n_rows;
     /* gate storage: the stored mean, and the cooperativity rule of
        qed.sample_cooperativity: n_levels (eta, probability) pairs, or
        coop_scale = eta0 * geometric_weight, times cos^2 of a uniform
@@ -346,11 +358,16 @@ static int detect(bitgen_t *bitgen, binomial_t *state, int64_t true_count,
 }
 
 /* Runs shot a->shot_index of the configuration in a and writes its
- * record into a->record.  Returns 0, or SHOT_IN_PYTHON when a draw that
- * numpy's Generator rejects comes up, or more excitations are stored
- * than a->window holds; the caller then runs the shot in Python. */
+ * record into its row of a->rows.  Returns 0, or SHOT_IN_PYTHON, having
+ * written nothing, when the row is outside the block, a draw that numpy's
+ * Generator rejects comes up, or more excitations are stored than
+ * a->window holds; the caller then runs the shot in Python. */
 int shot(struct shot_args *a)
 {
+    /* unsigned, so an index below first wraps to a row past the block */
+    uint64_t row = a->shot_index - a->first;
+    if (row >= a->n_rows)
+        return SHOT_IN_PYTHON;
     philox_t stream;
     philox_seed(&stream, a->master_seed, a->shot_index);
     bitgen_t bitgen = {&stream, philox_next64, philox_next32, philox_next_double,
@@ -392,7 +409,7 @@ int shot(struct shot_args *a)
                        &gate))
         return SHOT_IN_PYTHON;
 
-    int64_t *r = a->record;
+    int64_t *r = a->rows + 9 * row;
     r[0] = (int64_t)a->shot_index;
     r[1] = n_stored;
     r[2] = transmitted;

@@ -46,6 +46,15 @@ would have to be recomputed, so detuned and pumped configurations run in
 Python.  ``shot`` is the only compiled path; ``_kernel`` builds and loads
 it.
 
+A chunk of shots (``_run_range``) runs into one ``(n, 9)`` int64 block,
+the chunk scratch's rows: the kernel writes each shot's record into its
+row, and the block is cast into the shot table once, column by column,
+so a shot the kernel runs makes no Python object.  ``_run_range`` still
+calls ``run_shot`` once per shot: the benchmark's self-test
+(``perfbench/test_perfbench.py``) counts those calls against the number
+of shots, so the loop over a chunk can move into C only once the
+benchmark counts shots from the tables.
+
 The Python engine stays, as the reference the tests compare the kernel
 against and as the fallback: ``evolve_source_window`` is the Python
 reference of the kernel's source window, and ``_run_shot_py`` of its
@@ -420,7 +429,7 @@ def detect(true_count: int, window: float, efficiency: float, dark_rate: float,
     return detected
 
 
-def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord:
+def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord | None:
     """One full repetition, fully determined by (master_seed, shot_index).
 
     One call of the compiled ``shot`` when the kernel runs this
@@ -428,18 +437,31 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord:
     meets a draw that numpy's Generator rejects, or that stores more than
     ``_kernel._ETA_CAPACITY`` excitations, runs again in ``_run_shot_py``,
     where the Generator raises its own error.
-    ``_scratch`` is ``_shot_scratch(config)``, reused across a chunk, and
-    built here when None."""
-    shot, args, ref, record, stream = _scratch or _shot_scratch(config)
+
+    Without ``_scratch``, returns the shot's ``ShotRecord``.  With a chunk
+    scratch, ``_shot_scratch(config, rows, first)``, writes the record
+    into row ``shot_index - first`` of the chunk's block ``rows`` and
+    returns None: the kernel writes the row itself, and only a shot that
+    it refuses makes a ``ShotRecord``, written into the row here.
+    ``_run_range`` still calls this function once per shot, so the
+    benchmark's tracer, which counts these calls, sees every shot."""
+    if _scratch is None:
+        if not 0 <= shot_index < 2 ** 64:
+            return _run_shot_py(config, shot_index)  # shot_rng refuses it
+        # a chunk of one row, read back with real bools
+        return ShotRecord(*_run_range((config, shot_index, shot_index + 1))[0].item())
+    shot, args, ref, rows, first, stream = _scratch
     # ctypes would wrap an index out of range; shot_rng refuses it
     if shot is not None and 0 <= shot_index < 2 ** 64:
         args.shot_index = shot_index
         if shot(ref) == 0:
-            # a slice: unpacking the ctypes array itself takes 8x as long
-            _, n_stored, inside, outside, collapsed, retrieved, survived, source, gate = record[:]
-            return ShotRecord(shot_index, n_stored, inside, outside, collapsed != 0,
-                              retrieved != 0, survived != 0, source, gate)
-    return _run_shot_py(config, shot_index, stream)
+            return None
+    row = shot_index - first
+    if not 0 <= row < len(rows):
+        raise IndexError(f"shot {shot_index} is outside the chunk of shots "
+                         f"{first} to {first + len(rows) - 1}")
+    rows[row] = _run_shot_py(config, shot_index, stream)
+    return None
 
 
 def _run_shot_py(config: RunConfig, shot_index: int, stream=None) -> ShotRecord:
@@ -475,13 +497,15 @@ def _dark_mean(rate: float, window: float) -> float:
     return rate * window if rate > 0.0 and window > 0.0 else 0.0
 
 
-def _shot_scratch(config: RunConfig) -> tuple:
-    """What ``run_shot`` reuses across a chunk of ``config``'s shots:
-    ``(shot, args, byref(args), args.record, None)``, the compiled
-    ``shot`` with the configuration packed into its arguments, when the
-    kernel runs this configuration (``_kernel_can_run``); otherwise
-    ``(None, None, None, None, stream)``, a Philox stream rekeyed per
-    shot.
+def _shot_scratch(config: RunConfig, rows: np.ndarray, first: int) -> tuple:
+    """What ``run_shot`` reuses across a chunk of ``config``'s shots
+    ``first`` to ``first + len(rows) - 1``, whose records go into
+    ``rows``, an ``(n, 9)`` int64 block:
+    ``(shot, args, byref(args), rows, first, None)``, the compiled
+    ``shot`` with the configuration and the block packed into its
+    arguments, when the kernel runs this configuration
+    (``_kernel_can_run``); otherwise ``(None, None, None, rows, first,
+    stream)``, with a Philox stream rekeyed per shot.
 
     What depends on the configuration alone is computed here once, with
     the Python engine's expressions: the decay survival probability, the
@@ -492,14 +516,14 @@ def _shot_scratch(config: RunConfig) -> tuple:
               else None)
     if kernel is None:
         bitgen = np.random.Philox(key=0)  # rekeyed for every shot
-        return None, None, None, None, (bitgen, np.random.Generator(bitgen))
+        return None, None, None, rows, first, (bitgen, np.random.Generator(bitgen))
     cavity, atoms, coop, timing = config.cavity, config.atoms, config.coop, config.timing
     det, delta = config.detection, config.source.detuning
     cavity_denominator = 1.0 + 2.0j * delta / cavity.kappa
     atom_denominator = 1.0 + 2.0j * delta / atoms.gamma
     x = 2.0 * delta / atoms.gamma
     return *_kernel.pack_shot(
-        kernel, [value for level in coop.levels or () for value in level],
+        kernel, [value for level in coop.levels or () for value in level], rows, first,
         master_seed=config.master_seed, stored_mean=config.gate.stored_mean,
         standing_wave=coop.standing_wave, coop_scale=coop.eta0 * coop.geometric_weight,
         storage_time=timing.total_storage_time,
@@ -516,13 +540,22 @@ def _shot_scratch(config: RunConfig) -> tuple:
         source_efficiency=det.source_path_efficiency,
         source_dark_mean=_dark_mean(det.source_dark_rate, timing.source_window),
         gate_efficiency=det.gate_path_efficiency,
-        gate_dark_mean=_dark_mean(det.gate_dark_rate, timing.storage_ramp)), None
+        gate_dark_mean=_dark_mean(det.gate_dark_rate, timing.storage_ramp)), rows, first, None
 
 
 def _run_range(args) -> np.recarray:
+    """Shot table of the shots ``start`` to ``stop - 1`` of ``config``:
+    ``run_shot`` writes each shot's record into its row of one int64
+    block, which is then cast into the table column by column."""
     config, start, stop = args
-    scratch = _shot_scratch(config)
-    return shot_table(run_shot(config, i, scratch) for i in range(start, stop))
+    rows = np.zeros((stop - start, len(SHOT_DTYPE)), np.int64)
+    scratch = _shot_scratch(config, rows, start)
+    for i in range(start, stop):
+        run_shot(config, i, scratch)
+    table = np.empty(len(rows), SHOT_DTYPE)
+    for column, name in enumerate(SHOT_DTYPE.names):
+        table[name] = rows[:, column]
+    return table.view(np.recarray)
 
 
 def bound_workers(requested: int, n_tasks: int, cpus: int | None = None) -> int:

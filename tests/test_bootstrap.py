@@ -90,6 +90,30 @@ class TestBootstrapSums:
         assert abs(empty - 2000 * p) < 5 * math.sqrt(2000 * p * (1 - p))
 
 
+def _void_unique(cols):
+    """The distinct rows and their counts as ``np.unique`` finds them on
+    the rows' void view, the reference of ``stats._distinct_rows``."""
+    k = cols.shape[1]
+    keys, freq = np.unique(cols.view(f"V{8 * k}").ravel(), return_counts=True)
+    return keys.view(float).reshape(-1, k), freq
+
+
+# signed zeros and NaN differ from equal floats in their bytes only
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.lists(EDGE_FLOATS, min_size=k, max_size=k), min_size=1, max_size=60)))
+def test_distinct_rows_equal_void_unique(matrix):
+    cols = np.array(matrix, dtype=float)
+    rows, freq = stats._distinct_rows(cols)
+    ref_rows, ref_freq = _void_unique(cols)
+    # the keys and their order, bit for bit, and the counts
+    assert rows.shape == ref_rows.shape and rows.tobytes() == ref_rows.tobytes()
+    assert freq.dtype == ref_freq.dtype and freq.tolist() == ref_freq.tolist()
+
+
 class TestPointEstimatesPinned:
     """Values computed by the per-resample loops the shared bootstrap
     replaced; the point estimates must not change by a bit."""

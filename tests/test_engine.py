@@ -374,7 +374,30 @@ def _check_random_windows(eta0, levels, standing_wave, stored, photons, detuning
         _assert_windows_equal(spin.etas, cfg.source, cfg.pumping, shot_rng(seed, i))
     with _python_shots():
         expected = [run_shot(cfg, i) for i in range(cfg.n_shots)]
-    assert [run_shot(cfg, i) for i in range(cfg.n_shots)] == expected
+    assert run_shot(cfg, 0) == expected[0]
+    # a range whose block starts at shot 1, so that a row written at the
+    # shot's index instead of its offset lands past the block
+    assert engine._run_range((cfg, 1, cfg.n_shots)).tolist() == expected[1:]
+
+
+def _check_rows_outside_the_block_refused():
+    """The kernel refuses a shot whose row lies outside the attached
+    block and writes nothing; ``run_shot`` raises for it.  The block of
+    shots 10 to 12 sits between two guard rows."""
+    cfg = base_config()
+    block = np.full((5, 9), -7, np.int64)
+    scratch = engine._shot_scratch(cfg, block[1:-1], 10)
+    shot, args, ref = scratch[:3]
+    for index in (9, 13, 0, 2 ** 64 - 1):
+        args.shot_index = index
+        assert shot(ref) != 0
+        with pytest.raises(IndexError, match="outside the chunk of shots 10 to 12"):
+            run_shot(cfg, index, scratch)
+    assert (block == -7).all()
+    for index in (12, 10, 11):
+        assert run_shot(cfg, index, scratch) is None
+    assert (block[[0, -1]] == -7).all()
+    assert block[1:-1].tolist() == [list(run_shot(cfg, i)) for i in (10, 11, 12)]
 
 
 # _check_random_windows in a fresh interpreter whose window kernel is built
@@ -955,8 +978,8 @@ class TestShotKernel:
     @example(delta=2 * ATOMS.gamma, total=3.3)  # the quotient's second branch
     def test_ported_window_probabilities_equal_python(self, delta, total):
         _require_kernel()
-        shot, args, ref, record, stream = engine._shot_scratch(
-            base_config(source=unchecked_drive(1.0, delta)))
+        ref = engine._shot_scratch(base_config(source=unchecked_drive(1.0, delta)),
+                                   np.zeros((1, 9), np.int64), 0)[2]
         ported = (ctypes.c_double * 2)(total)
         _kernel._window_kernel().window_probabilities_of(ref, ported)
         expected = engine._window_probabilities(delta, total, CAVITY, ATOMS)
@@ -1033,6 +1056,42 @@ class TestShotKernel:
         assert np.array_equal(run_experiment(cfg), expected)
         assert expected.n_stored.max() > 2
 
+    def test_rows_outside_the_block_are_refused(self):
+        _require_kernel()
+        _check_rows_outside_the_block_refused()
+
+    def test_refused_shots_in_the_middle_of_a_range_run_in_python(self, monkeypatch):
+        _require_kernel()
+        monkeypatch.setattr(_kernel, "_ETA_CAPACITY", 2)
+        cfg = base_config(gate=GatePulse(1.0, 1.0, 1.0), source=SourceDrive(40.0),
+                          retrieval_mode=True, n_shots=400)
+        start, stop = 101, 260
+        with _python_shots():
+            expected = engine._run_range((cfg, start, stop))
+        refused = expected.shot_index[expected.n_stored > 2].tolist()
+        assert refused and start < refused[0] and refused[-1] < stop - 1
+        with mock.patch.object(engine, "_run_shot_py", wraps=engine._run_shot_py) as python:
+            table = engine._run_range((cfg, start, stop))
+        assert table.tolist() == expected.tolist()
+        assert [call.args[1] for call in python.call_args_list] == refused
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compiled_shots_make_no_record(self, workers):
+        # the kernel writes the table's rows: no ShotRecord is made and no
+        # shot runs in Python, in the caller or in a pool process
+        _require_kernel()
+        [detuned] = [p for p in presets.get_preset("fig2").points
+                     if p.meta["n_g_stored"] == 1.4 and p.meta["detuning_mhz"] == 1.0]
+        configs = [replace(presets.get_preset("fig4e").points[3].config, n_shots=600,
+                           master_seed=59),
+                   replace(detuned.config, n_shots=300, master_seed=61)]
+        with _python_shots():
+            expected = [run_experiment(cfg) for cfg in configs]
+        with mock.patch.object(engine, "ShotRecord", side_effect=AssertionError), \
+                mock.patch.object(engine, "_run_shot_py", side_effect=AssertionError):
+            for cfg, table in zip(configs, expected):
+                assert run_experiment(cfg, workers=workers).tolist() == table.tolist()
+
     def test_address_sanitized_random_shots_equal_python(self, tmp_path):
         _require_compiler()
         libasan = subprocess.run([_kernel._CC, "-print-file-name=libasan.so"],
@@ -1048,8 +1107,9 @@ class TestShotKernel:
         assert done.returncode == 0, done.stderr[-4000:]
 
 
-# _check_random_windows in a fresh interpreter whose kernel is built into
-# the directory argv[2] with the compiler flags argv[3:]
+# _check_random_windows, whose ranges write rows from a block offset, and
+# _check_rows_outside_the_block_refused, in a fresh interpreter whose
+# kernel is built into the directory argv[2] with the compiler flags argv[3:]
 SANITIZER_RUN = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -1057,5 +1117,6 @@ import test_engine as t
 t._kernel._KERNEL_CACHE = sys.argv[2]
 t._kernel._CFLAGS += tuple(sys.argv[3:])
 assert t._kernel._window_kernel() is not None, "the sanitized kernel did not build"
+t._check_rows_outside_the_block_refused()
 t.settings(max_examples=40, deadline=None)(t.RANDOM_WINDOWS(t._check_random_windows))()
 """
