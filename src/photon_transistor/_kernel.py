@@ -1,11 +1,18 @@
-"""The compiled kernel: ``_window.c`` built, cached and loaded with ctypes,
-and the ctypes mirror of the arguments of its ``shot``.
+"""The compiled kernel: ``_window.c`` built, cached and loaded, and the
+ctypes mirror of the arguments of its ``shot``.
 
 This is the only module that knows the kernel's source, how it is built
-and how its arguments are laid out.  ``engine`` computes what a shot of
-a configuration needs, allocates a chunk's block of rows, and runs every
-shot of the chunk through ``pack_shot``'s result, which writes each
-record into its row; the kernel is built on first use, never at import.
+and how its arguments are laid out.  The one library is loaded twice:
+as a CPython extension module, whose ``METH_FASTCALL`` function
+``shot(args, shot_index)`` is the only way a shot is run, and with
+ctypes, for the exports that only the tests call (``source_window``,
+``philox_raw`` and ``window_probabilities_of``).  A ctypes call of
+``shot`` cost more than the shot itself: libffi's argument conversion
+and call setup, the release and retaking of the GIL, and a ctypes store
+of the index.  ``engine`` computes what a shot of a configuration
+needs, allocates a chunk's block of rows, and runs every shot of the
+chunk through ``pack_shot``'s result, which writes each record into its
+row; the kernel is built on first use, never at import.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,9 +36,19 @@ _CC = "cc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-def _load_kernel() -> ctypes.CDLL:
+class Kernel(NamedTuple):
+    """The loaded kernel: the library for the tests' ctypes calls, and the
+    entry point of ``shot``."""
+
+    library: ctypes.CDLL
+    shot: Callable[[ctypes.Structure, int], bool]
+
+
+def _load_kernel() -> Kernel:
     """``_window.c`` compiled and loaded; compiled only when no library of
-    this source, numpy version and interpreter is cached yet.
+    this source, numpy version and interpreter is cached yet.  The
+    extension module is registered nowhere, in ``sys.modules`` or on any
+    module of this package: the returned ``Kernel`` holds it.
 
     The cache is ``_KERNEL_CACHE``.  When that is not writable, the
     library is built in a private temporary directory, removed once it
@@ -41,6 +59,7 @@ def _load_kernel() -> ctypes.CDLL:
     cache holds one library per interpreter."""
     import glob
     import hashlib
+    import importlib.util
     import sysconfig
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
@@ -74,19 +93,21 @@ def _load_kernel() -> ctypes.CDLL:
                     # a process that loaded it keeps its mapping
                     with contextlib.suppress(FileNotFoundError):
                         os.remove(old)
-        return ctypes.CDLL(library)
+        spec = importlib.util.spec_from_file_location("_window", library)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return Kernel(ctypes.CDLL(library), module.shot)
     finally:
         shutil.rmtree(cache if private else build, ignore_errors=True)
 
 
 @functools.cache
-def _window_kernel() -> ctypes.CDLL | None:
-    """The compiled kernel, ``_window.c`` as a ctypes library, built on
-    first use; None when it cannot be built or loaded, and shots run in
-    Python."""
+def _window_kernel() -> Kernel | None:
+    """The compiled kernel, built on first use; None when it cannot be
+    built or loaded, and shots run in Python."""
     try:
         return _load_kernel()
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, ImportError, subprocess.SubprocessError):
         return None
 
 
@@ -115,13 +136,14 @@ class _ShotArgs(ctypes.Structure):
 _ETA_CAPACITY = 1024  # stored excitations a compiled shot holds; more run in Python
 
 
-def pack_shot(kernel: ctypes.CDLL, levels: list[float], rows: np.ndarray, first: int,
+def pack_shot(kernel: Kernel, levels: list[float], rows: np.ndarray, first: int,
               **fields) -> tuple:
-    """``(shot, args, byref(args))``: ``kernel``'s ``shot`` and its
-    arguments, packed once for a chunk of one configuration's shots.
+    """``(shot, args)``: ``kernel``'s entry point ``shot`` and its
+    arguments, packed once for a chunk of one configuration's shots;
+    ``shot(args, i)`` runs shot ``i`` and returns whether it was refused.
     ``levels`` are the flattened (eta, probability) pairs of the
     cooperativity model and ``fields`` the other ``_ShotArgs`` fields but
-    ``shot_index``, which is set per shot.  ``rows`` is the chunk's block,
+    ``shot_index``, which ``shot`` stores per shot.  ``rows`` is the chunk's block,
     a C-contiguous ``(n, 9)`` int64 array that must outlive the
     arguments: shot ``first + j`` writes row ``j``, and ``shot`` refuses
     a shot outside the block.  The arguments hold a window of
@@ -133,7 +155,4 @@ def pack_shot(kernel: ctypes.CDLL, levels: list[float], rows: np.ndarray, first:
                      rows=rows.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), first=first,
                      n_rows=len(rows), eta_capacity=_ETA_CAPACITY,
                      window=(ctypes.c_double * (6 + _ETA_CAPACITY))(), **fields)
-    # the 64-bit seed and shot index travel in the struct, passed by a
-    # prebuilt reference: without argtypes, which doubled the call time,
-    # ctypes would pass a Python int as a 32-bit C int
-    return kernel.shot, args, ctypes.byref(args)
+    return kernel.shot, args

@@ -22,6 +22,14 @@
  * runs.  It refuses a shot whose row is outside the block and writes
  * nothing for it.
  *
+ * engine.run_shot reaches shot through this file's CPython extension
+ * entry point: _kernel.py loads the same library as the extension module
+ * _window, whose METH_FASTCALL function shot(args, shot_index) takes the
+ * packed struct shot_args through the buffer protocol, stores the index
+ * and calls shot, holding the GIL.  A ctypes call cost more than the shot
+ * itself.  The tests call source_window, philox_raw and
+ * window_probabilities_of with ctypes.
+ *
  * source_window is the loop of engine.evolve_source_window, the Python
  * reference, once the incident photon number is drawn, branch for branch,
  * drawing from the caller's bit generator; shot calls it, and the tests
@@ -37,6 +45,7 @@
  * before making it and say so; the caller reruns the shot in Python,
  * where the Generator raises its own error, and writes its row.
  */
+#include <Python.h>
 #include <math.h>
 #include "numpy/random/distributions.h"
 
@@ -420,4 +429,59 @@ int shot(struct shot_args *a)
     r[7] = source;
     r[8] = gate;
     return 0;
+}
+
+/* ---- the entry point of engine.run_shot ---- */
+
+/* shot(args, shot_index) from Python: stores shot_index in args, the
+ * writeable buffer of a _kernel._ShotArgs, runs the shot and returns
+ * whether it was refused.  A buffer that is not writeable or not
+ * sizeof(struct shot_args) bytes long, or an index outside [0, 2^64),
+ * raises and writes nothing.  The GIL is held throughout. */
+static PyObject *shot_entry(PyObject *module, PyObject *const *argv, Py_ssize_t argc)
+{
+    (void)module;
+    if (argc != 2) {
+        PyErr_Format(PyExc_TypeError, "shot() takes 2 arguments (%zd given)", argc);
+        return NULL;
+    }
+    /* OverflowError below 0 and at 2^64 and above */
+    unsigned long long shot_index = PyLong_AsUnsignedLongLong(argv[1]);
+    if (shot_index == (unsigned long long)-1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer view;
+    if (PyObject_GetBuffer(argv[0], &view, PyBUF_WRITABLE) < 0)
+        return NULL;
+    if (view.len != (Py_ssize_t)sizeof(struct shot_args)) {
+        PyBuffer_Release(&view);
+        PyErr_Format(PyExc_ValueError, "shot() needs a buffer of %zu bytes, not %zd",
+                     sizeof(struct shot_args), view.len);
+        return NULL;
+    }
+    struct shot_args *a = view.buf;
+    a->shot_index = shot_index;
+    int refused = shot(a);
+    PyBuffer_Release(&view);
+    return PyBool_FromLong(refused);
+}
+
+static PyMethodDef window_methods[] = {
+    {.ml_name = "shot", .ml_meth = (PyCFunction)(void (*)(void))shot_entry,
+     .ml_flags = METH_FASTCALL,
+     .ml_doc = "shot(args, shot_index): run one shot; True when it was refused"},
+    {0},
+};
+
+/* multi-phase initialisation, so that loading the module registers it
+   nowhere: _kernel.py keeps the only reference */
+static struct PyModuleDef window_module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_window",
+    .m_doc = "The entry point of the compiled shot.",
+    .m_methods = window_methods,
+};
+
+PyMODINIT_FUNC PyInit__window(void)
+{
+    return PyModuleDef_Init(&window_module);
 }

@@ -44,7 +44,9 @@ detuned window's T and S come from a real-arithmetic port of CPython's
 complex operations in the dispersive spectrum; after a pumping hop they
 would have to be recomputed, so detuned and pumped configurations run in
 Python.  ``shot`` is the only compiled path; ``_kernel`` builds and loads
-it.
+it, and ``run_shot`` reaches it through a CPython ``METH_FASTCALL`` entry
+point, ``shot(args, shot_index)``: a ctypes call and its index store cost
+more than the shot itself.
 
 A chunk of shots (``_run_range``) runs into one ``(n, 9)`` int64 block,
 the chunk scratch's rows: the kernel writes each shot's record into its
@@ -441,8 +443,10 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord | 
     Without ``_scratch``, returns the shot's ``ShotRecord``.  With a chunk
     scratch, ``_shot_scratch(config, rows, first)``, writes the record
     into row ``shot_index - first`` of the chunk's block ``rows`` and
-    returns None: the kernel writes the row itself, and only a shot that
-    it refuses makes a ``ShotRecord``, written into the row here.
+    returns None: one call of the entry point ``shot(args, shot_index)``
+    stores the index in the packed arguments and writes the row, and only
+    a shot that it refuses makes a ``ShotRecord``, written into the row
+    here.
     ``_run_range`` still calls this function once per shot, so the
     benchmark's tracer, which counts these calls, sees every shot."""
     if _scratch is None:
@@ -450,11 +454,11 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord | 
             return _run_shot_py(config, shot_index)  # shot_rng refuses it
         # a chunk of one row, read back with real bools
         return ShotRecord(*_run_range((config, shot_index, shot_index + 1))[0].item())
-    shot, args, ref, rows, first, stream = _scratch
-    # ctypes would wrap an index out of range; shot_rng refuses it
+    shot, args, rows, first, stream = _scratch
+    # shot raises OverflowError for an index out of range; shot_rng
+    # raises its own error for it
     if shot is not None and 0 <= shot_index < 2 ** 64:
-        args.shot_index = shot_index
-        if shot(ref) == 0:
+        if not shot(args, shot_index):
             return None
     row = shot_index - first
     if not 0 <= row < len(rows):
@@ -501,10 +505,10 @@ def _shot_scratch(config: RunConfig, rows: np.ndarray, first: int) -> tuple:
     """What ``run_shot`` reuses across a chunk of ``config``'s shots
     ``first`` to ``first + len(rows) - 1``, whose records go into
     ``rows``, an ``(n, 9)`` int64 block:
-    ``(shot, args, byref(args), rows, first, None)``, the compiled
-    ``shot`` with the configuration and the block packed into its
+    ``(shot, args, rows, first, None)``, the compiled ``shot``'s entry
+    point with the configuration and the block packed into its
     arguments, when the kernel runs this configuration
-    (``_kernel_can_run``); otherwise ``(None, None, None, rows, first,
+    (``_kernel_can_run``); otherwise ``(None, None, rows, first,
     stream)``, with a Philox stream rekeyed per shot.
 
     What depends on the configuration alone is computed here once, with
@@ -516,7 +520,7 @@ def _shot_scratch(config: RunConfig, rows: np.ndarray, first: int) -> tuple:
               else None)
     if kernel is None:
         bitgen = np.random.Philox(key=0)  # rekeyed for every shot
-        return None, None, None, rows, first, (bitgen, np.random.Generator(bitgen))
+        return None, None, rows, first, (bitgen, np.random.Generator(bitgen))
     cavity, atoms, coop, timing = config.cavity, config.atoms, config.coop, config.timing
     det, delta = config.detection, config.source.detuning
     cavity_denominator = 1.0 + 2.0j * delta / cavity.kappa

@@ -312,7 +312,7 @@ def _compiled_window(spin, source, pumping, cavity, atoms, rng):
     values = (ctypes.c_double * (n + 6))(pumping.hop_prob_per_scatter,
                                           pumping.eta_ratio_after_hop, ETA_FLOOR,
                                           delta, t, s, *spin.etas)
-    window = _kernel._window_kernel()["source_window"]  # a function object of its own
+    window = _kernel._window_kernel().library["source_window"]  # a function object of its own
     window.restype = ctypes.c_int64
     transmitted = window(rng.bit_generator.ctypes.bit_generator, counts, values)
     if counts[2]:
@@ -387,10 +387,9 @@ def _check_rows_outside_the_block_refused():
     cfg = base_config()
     block = np.full((5, 9), -7, np.int64)
     scratch = engine._shot_scratch(cfg, block[1:-1], 10)
-    shot, args, ref = scratch[:3]
+    shot, args = scratch[:2]
     for index in (9, 13, 0, 2 ** 64 - 1):
-        args.shot_index = index
-        assert shot(ref) != 0
+        assert shot(args, index) is True
         with pytest.raises(IndexError, match="outside the chunk of shots 10 to 12"):
             run_shot(cfg, index, scratch)
     assert (block == -7).all()
@@ -398,6 +397,67 @@ def _check_rows_outside_the_block_refused():
         assert run_shot(cfg, index, scratch) is None
     assert (block[[0, -1]] == -7).all()
     assert block[1:-1].tolist() == [list(run_shot(cfg, i)) for i in (10, 11, 12)]
+
+
+def _fig4e_and_detuned_fig2_points():
+    """A fig4e point and the detuned fig2 point, and their tables from the
+    Python engine."""
+    [detuned] = [p for p in presets.get_preset("fig2").points
+                 if p.meta["n_g_stored"] == 1.4 and p.meta["detuning_mhz"] == 1.0]
+    configs = [replace(presets.get_preset("fig4e").points[3].config, n_shots=600,
+                       master_seed=59),
+               replace(detuned.config, n_shots=300, master_seed=61)]
+    with _python_shots():
+        return configs, [run_experiment(cfg) for cfg in configs]
+
+
+# the package's (module, attribute) bindings before and after the first
+# load of the kernel, built into the empty directory argv[1]; prints how
+# many were compared
+LOAD_PROBE = """
+import sys, types
+import photon_transistor.cli
+from photon_transistor import _kernel
+_kernel._KERNEL_CACHE = sys.argv[1]
+
+def bindings():
+    return {(name, attr): value for name, module in list(sys.modules.items())
+            if name.startswith("photon_transistor") and isinstance(module, types.ModuleType)
+            for attr, value in vars(module).items()}
+
+before, modules = bindings(), set(sys.modules)
+assert _kernel._window_kernel() is not None, "the kernel did not build"
+after = bindings()
+assert after.keys() == before.keys(), sorted(after.keys() ^ before.keys())
+assert [key for key in before if after[key] is not before[key]] == []
+assert [name for name in set(sys.modules) - modules if "_window" in name] == []
+print(len(before))
+"""
+
+
+def _check_entry_point_refusals():
+    """The entry point raises, and writes nothing, for arguments that are
+    not a writeable ``_ShotArgs``-sized buffer and a 64-bit shot index;
+    the block of shots 10 to 12 between two guard rows stays untouched,
+    and so do the packed arguments."""
+    block = np.full((5, 9), -7, np.int64)
+    shot, args = engine._shot_scratch(base_config(), block[1:-1], 10)[:2]
+    packed = bytes(args)
+    size = ctypes.sizeof(args)
+    short = bytearray(packed[:size - 8])  # one word short
+    refusals = [((short, 10), ValueError, f"buffer of {size} bytes, not {size - 8}"),
+                ((packed, 10), BufferError, "not writable"),
+                (([0] * size, 10), TypeError, "bytes-like object is required"),
+                ((args,), TypeError, "takes 2 arguments"),
+                ((args, 10, 11), TypeError, "takes 2 arguments"),
+                ((args, -1), OverflowError, "negative int"),
+                ((args, 2 ** 64), OverflowError, "int too big")]
+    for call, error, match in refusals:
+        with pytest.raises(error, match=match):
+            shot(*call)
+        assert (block == -7).all()
+        assert bytes(args) == packed
+    assert short == packed[:size - 8]
 
 
 # _check_random_windows in a fresh interpreter whose window kernel is built
@@ -964,8 +1024,8 @@ class TestShotKernel:
         _require_kernel()
         for index in (0, 1, 2 ** 64 - 1):
             raw = (ctypes.c_uint64 * 9)()
-            _kernel._window_kernel().philox_raw((ctypes.c_uint64 * 2)(seed, index), raw,
-                                                ctypes.c_int64(9))
+            _kernel._window_kernel().library.philox_raw(
+                (ctypes.c_uint64 * 2)(seed, index), raw, ctypes.c_int64(9))
             # nine words cross the boundary of the 4-word blocks twice
             assert list(raw) == shot_rng(seed, index).bit_generator.random_raw(9).tolist()
 
@@ -978,10 +1038,10 @@ class TestShotKernel:
     @example(delta=2 * ATOMS.gamma, total=3.3)  # the quotient's second branch
     def test_ported_window_probabilities_equal_python(self, delta, total):
         _require_kernel()
-        ref = engine._shot_scratch(base_config(source=unchecked_drive(1.0, delta)),
-                                   np.zeros((1, 9), np.int64), 0)[2]
+        args = engine._shot_scratch(base_config(source=unchecked_drive(1.0, delta)),
+                                    np.zeros((1, 9), np.int64), 0)[1]
         ported = (ctypes.c_double * 2)(total)
-        _kernel._window_kernel().window_probabilities_of(ref, ported)
+        _kernel._window_kernel().library.window_probabilities_of(ctypes.byref(args), ported)
         expected = engine._window_probabilities(delta, total, CAVITY, ATOMS)
         formulas = [f(delta, total, CAVITY.kappa, ATOMS.gamma, ETA_FLOOR)
                     for f in (_real_window_probabilities, _complex_window_probabilities)]
@@ -1060,6 +1120,10 @@ class TestShotKernel:
         _require_kernel()
         _check_rows_outside_the_block_refused()
 
+    def test_entry_point_refuses_what_is_not_a_shot(self):
+        _require_kernel()
+        _check_entry_point_refusals()
+
     def test_refused_shots_in_the_middle_of_a_range_run_in_python(self, monkeypatch):
         _require_kernel()
         monkeypatch.setattr(_kernel, "_ETA_CAPACITY", 2)
@@ -1080,17 +1144,33 @@ class TestShotKernel:
         # the kernel writes the table's rows: no ShotRecord is made and no
         # shot runs in Python, in the caller or in a pool process
         _require_kernel()
-        [detuned] = [p for p in presets.get_preset("fig2").points
-                     if p.meta["n_g_stored"] == 1.4 and p.meta["detuning_mhz"] == 1.0]
-        configs = [replace(presets.get_preset("fig4e").points[3].config, n_shots=600,
-                           master_seed=59),
-                   replace(detuned.config, n_shots=300, master_seed=61)]
-        with _python_shots():
-            expected = [run_experiment(cfg) for cfg in configs]
+        configs, expected = _fig4e_and_detuned_fig2_points()
         with mock.patch.object(engine, "ShotRecord", side_effect=AssertionError), \
                 mock.patch.object(engine, "_run_shot_py", side_effect=AssertionError):
             for cfg, table in zip(configs, expected):
                 assert run_experiment(cfg, workers=workers).tolist() == table.tolist()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shots_run_through_the_entry_point_alone(self, workers):
+        # the ctypes function pointer of shot raises if it is reached, in
+        # the caller or in a pool process
+        _require_kernel()
+        configs, expected = _fig4e_and_detuned_fig2_points()
+        with mock.patch.object(_kernel._window_kernel().library, "shot",
+                               side_effect=AssertionError):
+            for cfg, table in zip(configs, expected):
+                assert run_experiment(cfg, workers=workers).tolist() == table.tolist()
+
+    def test_loading_binds_nothing(self, tmp_path):
+        # the snapshot perfbench's self-test takes of the package's
+        # bindings, before and after the first load, from a cold cache
+        _require_compiler()
+        done = subprocess.run(
+            [sys.executable, "-c", LOAD_PROBE, str(tmp_path / "cache")],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert done.returncode == 0, done.stderr[-4000:]
+        assert int(done.stdout) > 100  # bindings compared
 
     def test_address_sanitized_random_shots_equal_python(self, tmp_path):
         _require_compiler()
@@ -1107,9 +1187,10 @@ class TestShotKernel:
         assert done.returncode == 0, done.stderr[-4000:]
 
 
-# _check_random_windows, whose ranges write rows from a block offset, and
-# _check_rows_outside_the_block_refused, in a fresh interpreter whose
-# kernel is built into the directory argv[2] with the compiler flags argv[3:]
+# _check_random_windows, whose ranges write rows from a block offset,
+# _check_rows_outside_the_block_refused and _check_entry_point_refusals, in
+# a fresh interpreter whose kernel is built into the directory argv[2] with
+# the compiler flags argv[3:]
 SANITIZER_RUN = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -1118,5 +1199,6 @@ t._kernel._KERNEL_CACHE = sys.argv[2]
 t._kernel._CFLAGS += tuple(sys.argv[3:])
 assert t._kernel._window_kernel() is not None, "the sanitized kernel did not build"
 t._check_rows_outside_the_block_refused()
+t._check_entry_point_refusals()
 t.settings(max_examples=40, deadline=None)(t.RANDOM_WINDOWS(t._check_random_windows))()
 """
