@@ -25,7 +25,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,19 +35,13 @@ _CC = "cc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
-class Kernel(NamedTuple):
-    """The loaded kernel: the library for the tests' ctypes calls, and the
-    entry point of ``shot``."""
-
-    library: ctypes.CDLL
-    shot: Callable[[ctypes.Structure, int], bool]
-
-
-def _load_kernel() -> Kernel:
-    """``_window.c`` compiled and loaded; compiled only when no library of
-    this source, numpy version and interpreter is cached yet.  The
-    extension module is registered nowhere, in ``sys.modules`` or on any
-    module of this package: the returned ``Kernel`` holds it.
+def _load_kernel() -> tuple:
+    """``(library, shot)``: ``_window.c`` compiled and loaded, as a ctypes
+    library, for the tests' calls of its other exports, and as an
+    extension module, whose entry point ``shot`` runs every shot; compiled
+    only when no library of this source, numpy version and interpreter is
+    cached yet.  The extension module is registered nowhere, in
+    ``sys.modules`` or on any module of this package.
 
     The cache is ``_KERNEL_CACHE``.  When that is not writable, the
     library is built in a private temporary directory, removed once it
@@ -96,15 +89,16 @@ def _load_kernel() -> Kernel:
         spec = importlib.util.spec_from_file_location("_window", library)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return Kernel(ctypes.CDLL(library), module.shot)
+        return ctypes.CDLL(library), module.shot
     finally:
         shutil.rmtree(cache if private else build, ignore_errors=True)
 
 
 @functools.cache
-def _window_kernel() -> Kernel | None:
-    """The compiled kernel, built on first use; None when it cannot be
-    built or loaded, and shots run in Python."""
+def _window_kernel() -> tuple | None:
+    """The compiled kernel, ``_load_kernel``'s ``(library, shot)``, built
+    on first use; None when it cannot be built or loaded, and shots run
+    in Python."""
     try:
         return _load_kernel()
     except (OSError, ImportError, subprocess.SubprocessError):
@@ -136,17 +130,18 @@ class _ShotArgs(ctypes.Structure):
 _ETA_CAPACITY = 1024  # stored excitations a compiled shot holds; more run in Python
 
 
-def pack_shot(kernel: Kernel, levels: list[float], rows: np.ndarray, first: int,
+def pack_shot(kernel: tuple, levels: list[float], rows: np.ndarray, first: int,
               **fields) -> tuple:
-    """``(shot, args)``: ``kernel``'s entry point ``shot`` and its
-    arguments, packed once for a chunk of one configuration's shots;
-    ``shot(args, i)`` runs shot ``i`` and returns whether it was refused.
+    """``(shot, args)``: the entry point ``shot`` of ``kernel``, the
+    ``(library, shot)`` of ``_window_kernel``, and its arguments, packed
+    once for a chunk of one configuration's shots; ``shot(args, i)`` runs
+    shot ``i`` and returns whether it was refused.
     ``levels`` are the flattened (eta, probability) pairs of the
     cooperativity model and ``fields`` the other ``_ShotArgs`` fields but
-    ``shot_index``, which ``shot`` stores per shot.  ``rows`` is the chunk's block,
-    a C-contiguous ``(n, 9)`` int64 array that must outlive the
-    arguments: shot ``first + j`` writes row ``j``, and ``shot`` refuses
-    a shot outside the block.  The arguments hold a window of
+    ``shot_index``, which ``shot`` stores per shot.  ``rows`` is the
+    chunk's block, a C-contiguous ``(n, 9)`` int64 array that must outlive
+    the arguments: shot ``first + j`` writes row ``j``, and ``shot``
+    refuses a shot outside the block.  The arguments hold a window of
     ``_ETA_CAPACITY`` etas."""
     if rows.dtype != np.int64 or rows.ndim != 2 or rows.shape[1] != 9 \
             or not rows.flags.c_contiguous or not rows.flags.writeable:
@@ -155,4 +150,4 @@ def pack_shot(kernel: Kernel, levels: list[float], rows: np.ndarray, first: int,
                      rows=rows.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), first=first,
                      n_rows=len(rows), eta_capacity=_ETA_CAPACITY,
                      window=(ctypes.c_double * (6 + _ETA_CAPACITY))(), **fields)
-    return kernel.shot, args
+    return kernel[1], args

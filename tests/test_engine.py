@@ -312,7 +312,7 @@ def _compiled_window(spin, source, pumping, cavity, atoms, rng):
     values = (ctypes.c_double * (n + 6))(pumping.hop_prob_per_scatter,
                                           pumping.eta_ratio_after_hop, ETA_FLOOR,
                                           delta, t, s, *spin.etas)
-    window = _kernel._window_kernel().library["source_window"]  # a function object of its own
+    window = _kernel._window_kernel()[0]["source_window"]  # a function object of its own
     window.restype = ctypes.c_int64
     transmitted = window(rng.bit_generator.ctypes.bit_generator, counts, values)
     if counts[2]:
@@ -1024,7 +1024,7 @@ class TestShotKernel:
         _require_kernel()
         for index in (0, 1, 2 ** 64 - 1):
             raw = (ctypes.c_uint64 * 9)()
-            _kernel._window_kernel().library.philox_raw(
+            _kernel._window_kernel()[0].philox_raw(
                 (ctypes.c_uint64 * 2)(seed, index), raw, ctypes.c_int64(9))
             # nine words cross the boundary of the 4-word blocks twice
             assert list(raw) == shot_rng(seed, index).bit_generator.random_raw(9).tolist()
@@ -1041,7 +1041,7 @@ class TestShotKernel:
         args = engine._shot_scratch(base_config(source=unchecked_drive(1.0, delta)),
                                     np.zeros((1, 9), np.int64), 0)[1]
         ported = (ctypes.c_double * 2)(total)
-        _kernel._window_kernel().library.window_probabilities_of(ctypes.byref(args), ported)
+        _kernel._window_kernel()[0].window_probabilities_of(ctypes.byref(args), ported)
         expected = engine._window_probabilities(delta, total, CAVITY, ATOMS)
         formulas = [f(delta, total, CAVITY.kappa, ATOMS.gamma, ETA_FLOOR)
                     for f in (_real_window_probabilities, _complex_window_probabilities)]
@@ -1156,7 +1156,7 @@ class TestShotKernel:
         # the caller or in a pool process
         _require_kernel()
         configs, expected = _fig4e_and_detuned_fig2_points()
-        with mock.patch.object(_kernel._window_kernel().library, "shot",
+        with mock.patch.object(_kernel._window_kernel()[0], "shot",
                                side_effect=AssertionError):
             for cfg, table in zip(configs, expected):
                 assert run_experiment(cfg, workers=workers).tolist() == table.tolist()
