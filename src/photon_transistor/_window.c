@@ -1,49 +1,44 @@
-/* One shot, and its source window with blocking atoms, compiled.
+/* One shot of the switching experiment, compiled.
  *
  * shot runs a whole repetition of engine._run_shot_py: gate storage,
  * spin-wave decay, the source window, outcoupling, retrieval and the two
  * counting chains.  engine.run_shot calls it for every shot whose source
  * is resonant or has no pumping hops (engine._kernel_can_run), which is
- * every shot of the presets: the Python around one kernel call per window
- * used to cost several times the kernel.  It keys its own Philox4x64-10
- * stream from (master_seed, shot_index) exactly as engine.shot_rng keys
- * numpy's, and makes every draw in the same order through the numpy
- * distribution functions (libnpyrandom) that numpy's Generator calls, so
- * a shot run here consumes the same random numbers and returns the same
- * record.  Every float expression is the Python one, in the same order;
- * build with -ffp-contract=off so that no multiply-add is fused.  The
- * Python engine stays, as the reference the tests compare this file
- * against and as the fallback where no compiler is found.  shot is the
- * only compiled path of a simulation; _kernel.py builds and loads it.
+ * every shot of the presets.  It keys its own Philox4x64-10 stream from
+ * (master_seed, shot_index) exactly as engine.shot_rng keys numpy's, and
+ * makes every draw in the same order through the numpy distribution
+ * functions (libnpyrandom) that numpy's Generator calls, so a shot run
+ * here consumes the same random numbers and returns the same record.
+ * Every float expression is the Python one, in the same order; build with
+ * -ffp-contract=off so that no multiply-add is fused.  The Python engine
+ * stays, as the reference the tests compare this file against and as the
+ * fallback where no compiler is found.
  *
- * shot writes its record, ShotRecord's nine fields as int64, straight
- * into the shot's row of a block that engine._run_range attaches for a
- * chunk of shots, so no Python object is made for a shot that the kernel
- * runs.  It refuses a shot whose row is outside the block and writes
- * nothing for it.
+ * Every function that reads a configuration takes it as one
+ * const struct shot_args, which _kernel.pack_shot packs once for a chunk
+ * of shots.  shot writes its record, ShotRecord's nine fields as int64,
+ * straight into the shot's row of the chunk's block; it refuses a shot
+ * whose row is outside the block and writes nothing for it.
  *
- * engine.run_shot reaches shot through this file's CPython extension
- * entry point: _kernel.py loads the same library as the extension module
- * _window, whose METH_FASTCALL function shot(args, shot_index) takes the
- * packed struct shot_args through the buffer protocol, stores the index
- * and calls shot, holding the GIL.  A ctypes call cost more than the shot
- * itself.  The tests call source_window, philox_raw and
- * window_probabilities_of with ctypes.
+ * _kernel.py builds this file and loads it once, as the CPython extension
+ * module _window, whose METH_FASTCALL function shot(args, shot_index)
+ * takes the packed arguments through the buffer protocol, stores the
+ * index and calls shot, holding the GIL.  source_window, philox_raw and
+ * window_probabilities_of are plain exports that only the tests call,
+ * through ctypes.
  *
- * source_window is the loop of engine.evolve_source_window, the Python
- * reference, once the incident photon number is drawn, branch for branch,
- * drawing from the caller's bit generator; shot calls it, and the tests
- * call it to compare it with the Python window.  A resonant window
- * (delta == 0) computes its transmission T and scattering probability S
- * from the total cooperativity, once at the start and again after every
- * pumping hop.  A detuned window takes T and S from the caller; it must
- * have no pumping hops, which would change them.  shot computes them
- * with window_probabilities, a real-arithmetic port of CPython's complex
- * operations in qed.cavity_transmission_spectrum.
+ * source_window is the loop of engine.evolve_source_window once the
+ * incident photon number is drawn, branch for branch, drawing from the
+ * caller's bit generator.  Its T and S come from window_probabilities, a
+ * real-arithmetic port of CPython's complex operations in
+ * qed.cavity_transmission_spectrum; a pumping hop changes them, so it
+ * recomputes them, which only a resonant window may do.
  *
- * Where numpy's Generator would reject a draw, these functions stop
- * before making it and say so; the caller reruns the shot in Python,
- * where the Generator raises its own error, and writes its row.
+ * A shot keeps its stored cooperativities on its own stack, at most
+ * ETA_CAPACITY of them.  A shot that stores more, or meets a draw that
+ * numpy's Generator would reject, is refused before that draw is made;
+ * the caller reruns it in Python, where the Generator raises its own
+ * error, and writes its row.
  */
 #include <Python.h>
 #include <math.h>
@@ -54,6 +49,8 @@
 /* return value of shot when a draw is rejected, the etas do not fit or
    the shot's row is outside the attached block */
 #define SHOT_IN_PYTHON 1
+/* the most stored excitations a compiled shot holds */
+#define ETA_CAPACITY 1024
 
 /* the largest Poisson mean numpy's Generator accepts, computed as numpy does */
 #define POISSON_LAM_MAX ((double)INT64_MAX - sqrt((double)INT64_MAX) * 10)
@@ -133,6 +130,45 @@ void philox_raw(const uint64_t *key, uint64_t *out, int64_t n)
         out[i] = philox_next64(&st);
 }
 
+/* ---- one configuration ---- */
+
+/* One configuration's parameters, packed once per chunk by
+ * _kernel.pack_shot (its ctypes mirror is _kernel._ShotArgs), the shot
+ * to run, and the chunk's block of rows.  Every field is 8 bytes, so the
+ * layout has no padding. */
+struct shot_args {
+    uint64_t master_seed, shot_index;
+    /* the chunk's block: n_rows rows of 9 int64, ShotRecord's fields in
+       order; shot i writes row i - first, and a shot outside
+       [first, first + n_rows) is refused.  A block never attached has no
+       rows, so every shot is refused. */
+    int64_t *rows;
+    uint64_t first, n_rows;
+    /* gate storage: the stored mean, and the cooperativity rule of
+       qed.sample_cooperativity: n_levels (eta, probability) pairs, or
+       coop_scale = eta0 * geometric_weight, times cos^2 of a uniform
+       phase with standing_wave */
+    double stored_mean;
+    int64_t n_levels, standing_wave;
+    const double *levels;
+    double coop_scale;
+    /* decay: the storage time and exp(-storage time / lifetime) */
+    double storage_time, survival;
+    /* the source window: its mean photon number, the pumping hops, the
+       empty-cavity floor of the total cooperativity and the detuning */
+    double source_mean, hop_prob, hop_ratio, eta_floor, delta;
+    /* a detuned window's constants: the empty cavity's T, the complex
+       1 + 2i delta/kappa and 1 + 2i delta/gamma, and the Lorentzian
+       1 / (1 + (2 delta/gamma)^2) */
+    double empty_t, cavity_re, cavity_im, atom_re, atom_im, lorentzian;
+    /* outcoupling, retrieval, and the two counting chains, each with the
+       mean dark count of its window (0 when it has none) */
+    double outcoupling;
+    int64_t retrieval_mode;
+    double retrieval_efficiency;
+    double source_efficiency, source_dark_mean, gate_efficiency, gate_dark_mean;
+};
+
 /* ---- the source window ---- */
 
 /* T and S on resonance, as engine._transmission_and_scatter gives them */
@@ -162,150 +198,6 @@ static int add_binomial(bitgen_t *bitgen, binomial_t *state, int64_t n, double p
         return 0;
     *sum += random_binomial(bitgen, p, n, state);
     return 1;
-}
-
-/* Sends counts[0] photons through the cavity with the cooperativities
- * values[6 : 6 + counts[1]] blocking it, at hop probability values[0],
- * hop ratio values[1], empty-cavity floor values[2] and detuning
- * values[3]; a detuned window's T and S are values[4] and values[5]
- * (shot passes its counts and its window).  Returns the transmitted
- * photon count, with the number of scattering events in counts[2] and
- * the index of the photon that scattered first in counts[3] (0 when none
- * did); the cooperativities are updated in place by the pumping hops.  A
- * draw whose argument numpy's Generator rejects is not made: the return
- * value is then REJECTED. */
-int64_t source_window(bitgen_t *bitgen, int64_t *counts, double *values)
-{
-    int64_t remaining = counts[0], n_etas = counts[1];
-    double hop_prob = values[0], hop_ratio = values[1], eta_floor = values[2];
-    double delta = values[3], t = values[4], s = values[5];
-    double *etas = values + 6;
-    binomial_t binomial = {0};
-    int64_t transmitted = 0, processed = 0;
-    double total = total_eta(etas, n_etas);
-    if (delta == 0.0)
-        resonant_probabilities(total, &t, &s);
-    counts[2] = counts[3] = 0;
-    while (remaining > 0) {
-        if (total <= eta_floor) {
-            if (delta == 0.0)
-                transmitted += remaining;
-            else if (!add_binomial(bitgen, &binomial, remaining, t, &transmitted))
-                return REJECTED;
-            break;
-        }
-        if (s < 1e-300) {
-            if (!add_binomial(bitgen, &binomial, remaining, t, &transmitted))
-                return REJECTED;
-            break;
-        }
-        /* s is NaN only when the cooperativities or the detuned T are
-           not numbers */
-        if (!(s > 0.0 && s <= 1.0))
-            return REJECTED;
-        int64_t gap = random_geometric(bitgen, s);
-        double p = t / (1.0 - s);
-        if (gap > remaining) {
-            if (!add_binomial(bitgen, &binomial, remaining, p, &transmitted))
-                return REJECTED;
-            break;
-        }
-        if (gap > 1 && !add_binomial(bitgen, &binomial, gap - 1, p, &transmitted))
-            return REJECTED;
-        processed += gap;
-        remaining -= gap;
-        if (counts[2]++ == 0)
-            counts[3] = processed;
-        double pick = random_standard_uniform(bitgen) * total;
-        if (hop_prob > 0.0
-                && (hop_prob >= 1.0 || random_standard_uniform(bitgen) < hop_prob)) {
-            /* the scattering atom, chosen proportionally to its
-               cooperativity; the last one when rounding leaves the pick
-               above every sum */
-            double acc = 0.0;
-            int64_t j = 0;
-            for (; j < n_etas - 1; j++) {
-                acc += etas[j];
-                if (pick <= acc)
-                    break;
-            }
-            etas[j] *= hop_ratio;
-            total = total_eta(etas, n_etas);
-            resonant_probabilities(total, &t, &s);  /* hops run here only on resonance */
-        }
-    }
-    return transmitted;
-}
-
-/* ---- one shot ---- */
-
-/* One configuration's parameters, packed once per chunk by
- * _kernel.pack_shot (its ctypes mirror is _kernel._ShotArgs), the shot
- * to run, and the chunk's block of rows.  Every field is 8 bytes, so the
- * layout has no padding. */
-struct shot_args {
-    uint64_t master_seed, shot_index;
-    /* the chunk's block: n_rows rows of 9 int64, ShotRecord's fields in
-       order; shot i writes row i - first, and a shot outside
-       [first, first + n_rows) is refused.  A block never attached has no
-       rows, so every shot is refused. */
-    int64_t *rows;
-    uint64_t first, n_rows;
-    /* gate storage: the stored mean, and the cooperativity rule of
-       qed.sample_cooperativity: n_levels (eta, probability) pairs, or
-       coop_scale = eta0 * geometric_weight, times cos^2 of a uniform
-       phase with standing_wave */
-    double stored_mean;
-    int64_t n_levels, standing_wave;
-    const double *levels;
-    double coop_scale;
-    /* decay: the storage time and exp(-storage time / lifetime) */
-    double storage_time, survival;
-    /* the source window: its mean photon number, source_window's values
-       (6 + eta_capacity of them), and what goes into them */
-    double source_mean;
-    int64_t eta_capacity;
-    double *window;
-    double hop_prob, hop_ratio, eta_floor, delta;
-    /* a detuned window's constants: the empty cavity's T, the complex
-       1 + 2i delta/kappa and 1 + 2i delta/gamma, and the Lorentzian
-       1 / (1 + (2 delta/gamma)^2) */
-    double empty_t, cavity_re, cavity_im, atom_re, atom_im, lorentzian;
-    /* outcoupling, retrieval, and the two counting chains, each with the
-       mean dark count of its window (0 when it has none) */
-    double outcoupling;
-    int64_t retrieval_mode;
-    double retrieval_efficiency;
-    double source_efficiency, source_dark_mean, gate_efficiency, gate_dark_mean;
-};
-
-/* Adds Poisson(lam), drawn as numpy's Generator draws it, to *sum and
- * returns 1; returns 0, drawing nothing, for a mean the Generator rejects. */
-static int add_poisson(bitgen_t *bitgen, double lam, int64_t *sum)
-{
-    if (!(lam >= 0.0 && lam <= POISSON_LAM_MAX))
-        return 0;
-    *sum += random_poisson(bitgen, lam);
-    return 1;
-}
-
-/* qed.sample_cooperativity */
-static double sample_cooperativity(bitgen_t *bitgen, const struct shot_args *a)
-{
-    if (a->n_levels > 0) {
-        double u = random_standard_uniform(bitgen), acc = 0.0;
-        for (int64_t i = 0; i < a->n_levels; i++) {
-            acc += a->levels[2 * i + 1];
-            if (u < acc)
-                return a->levels[2 * i];
-        }
-        return a->levels[2 * a->n_levels - 2];
-    }
-    if (a->standing_wave) {
-        double c = cos(random_uniform(bitgen, 0.0, PI));
-        return a->coop_scale * c * c;
-    }
-    return a->coop_scale;
 }
 
 /* T and S of a window whose blockers add up to total, as
@@ -352,6 +244,106 @@ void window_probabilities_of(const struct shot_args *a, double *values)
     window_probabilities(a, values[0], &values[0], &values[1]);
 }
 
+/* Sends photons photons through the cavity of a with the n_etas
+ * cooperativities etas blocking it.  Returns the transmitted photon
+ * count, with the number of scattering events in scatters[0] and the
+ * index of the photon that scattered first in scatters[1] (0 when none
+ * did); the cooperativities are updated in place by the pumping hops.  A
+ * draw whose argument numpy's Generator rejects is not made: the return
+ * value is then REJECTED. */
+int64_t source_window(bitgen_t *bitgen, const struct shot_args *a, int64_t photons,
+                      double *etas, int64_t n_etas, int64_t *scatters)
+{
+    /* copied once: a hop writes through etas, which may alias *a */
+    double hop_prob = a->hop_prob, hop_ratio = a->hop_ratio, eta_floor = a->eta_floor;
+    double delta = a->delta, t, s;
+    binomial_t binomial = {0};
+    int64_t remaining = photons, transmitted = 0, processed = 0;
+    double total = total_eta(etas, n_etas);
+    window_probabilities(a, total, &t, &s);
+    scatters[0] = scatters[1] = 0;
+    while (remaining > 0) {
+        if (total <= eta_floor) {
+            if (delta == 0.0)
+                transmitted += remaining;
+            else if (!add_binomial(bitgen, &binomial, remaining, t, &transmitted))
+                return REJECTED;
+            break;
+        }
+        if (s < 1e-300) {
+            if (!add_binomial(bitgen, &binomial, remaining, t, &transmitted))
+                return REJECTED;
+            break;
+        }
+        /* s is NaN only when the cooperativities or the detuned T are
+           not numbers */
+        if (!(s > 0.0 && s <= 1.0))
+            return REJECTED;
+        int64_t gap = random_geometric(bitgen, s);
+        double p = t / (1.0 - s);
+        if (gap > remaining) {
+            if (!add_binomial(bitgen, &binomial, remaining, p, &transmitted))
+                return REJECTED;
+            break;
+        }
+        if (gap > 1 && !add_binomial(bitgen, &binomial, gap - 1, p, &transmitted))
+            return REJECTED;
+        processed += gap;
+        remaining -= gap;
+        if (scatters[0]++ == 0)
+            scatters[1] = processed;
+        double pick = random_standard_uniform(bitgen) * total;
+        if (hop_prob > 0.0
+                && (hop_prob >= 1.0 || random_standard_uniform(bitgen) < hop_prob)) {
+            /* the scattering atom, chosen proportionally to its
+               cooperativity; the last one when rounding leaves the pick
+               above every sum */
+            double acc = 0.0;
+            int64_t j = 0;
+            for (; j < n_etas - 1; j++) {
+                acc += etas[j];
+                if (pick <= acc)
+                    break;
+            }
+            etas[j] *= hop_ratio;
+            total = total_eta(etas, n_etas);
+            resonant_probabilities(total, &t, &s);  /* hops run here only on resonance */
+        }
+    }
+    return transmitted;
+}
+
+/* ---- one shot ---- */
+
+/* Adds Poisson(lam), drawn as numpy's Generator draws it, to *sum and
+ * returns 1; returns 0, drawing nothing, for a mean the Generator rejects. */
+static int add_poisson(bitgen_t *bitgen, double lam, int64_t *sum)
+{
+    if (!(lam >= 0.0 && lam <= POISSON_LAM_MAX))
+        return 0;
+    *sum += random_poisson(bitgen, lam);
+    return 1;
+}
+
+/* qed.sample_cooperativity */
+static double sample_cooperativity(bitgen_t *bitgen, const struct shot_args *a)
+{
+    if (a->n_levels > 0) {
+        double u = random_standard_uniform(bitgen), acc = 0.0;
+        for (int64_t i = 0; i < a->n_levels; i++) {
+            acc += a->levels[2 * i + 1];
+            if (u < acc)
+                return a->levels[2 * i];
+        }
+        return a->levels[2 * a->n_levels - 2];
+    }
+    if (a->standing_wave) {
+        double c = cos(random_uniform(bitgen, 0.0, PI));
+        return a->coop_scale * c * c;
+    }
+    return a->coop_scale;
+}
+
 /* The counting chain of engine.detect */
 static int detect(bitgen_t *bitgen, binomial_t *state, int64_t true_count,
                   double efficiency, double dark_mean, int64_t *detected)
@@ -369,9 +361,9 @@ static int detect(bitgen_t *bitgen, binomial_t *state, int64_t true_count,
 /* Runs shot a->shot_index of the configuration in a and writes its
  * record into its row of a->rows.  Returns 0, or SHOT_IN_PYTHON, having
  * written nothing, when the row is outside the block, a draw that numpy's
- * Generator rejects comes up, or more excitations are stored than
- * a->window holds; the caller then runs the shot in Python. */
-int shot(struct shot_args *a)
+ * Generator rejects comes up, or more than ETA_CAPACITY excitations are
+ * stored; the caller then runs the shot in Python. */
+int shot(const struct shot_args *a)
 {
     /* unsigned, so an index below first wraps to a row past the block */
     uint64_t row = a->shot_index - a->first;
@@ -382,10 +374,10 @@ int shot(struct shot_args *a)
     bitgen_t bitgen = {&stream, philox_next64, philox_next32, philox_next_double,
                        philox_next64};
     binomial_t binomial = {0};
-    int64_t counts[4], n_stored = 0, transmitted, outside = 0, source, gate;
-    double *values = a->window, *etas = values + 6;
+    int64_t scatters[2], n_stored = 0, photons = 0, transmitted, outside = 0, source, gate;
+    double etas[ETA_CAPACITY];
 
-    if (!add_poisson(&bitgen, a->stored_mean, &n_stored) || n_stored > a->eta_capacity)
+    if (!add_poisson(&bitgen, a->stored_mean, &n_stored) || n_stored > ETA_CAPACITY)
         return SHOT_IN_PYTHON;
     for (int64_t i = 0; i < n_stored; i++)
         etas[i] = sample_cooperativity(&bitgen, a);
@@ -393,19 +385,12 @@ int shot(struct shot_args *a)
     if (n_stored > 0 && a->storage_time != 0.0)
         survived = !(random_standard_uniform(&bitgen) >= a->survival);
 
-    counts[0] = 0;
-    if (!add_poisson(&bitgen, a->source_mean, &counts[0]))
+    if (!add_poisson(&bitgen, a->source_mean, &photons))
         return SHOT_IN_PYTHON;
-    counts[1] = n_stored;
-    values[0] = a->hop_prob;
-    values[1] = a->hop_ratio;
-    values[2] = a->eta_floor;
-    values[3] = a->delta;
-    window_probabilities(a, total_eta(etas, n_stored), &values[4], &values[5]);
-    transmitted = source_window(&bitgen, counts, values);
+    transmitted = source_window(&bitgen, a, photons, etas, n_stored, scatters);
     if (transmitted < 0)
         return SHOT_IN_PYTHON;
-    int coherent = counts[2] == 0;
+    int coherent = scatters[0] == 0;
 
     if (!add_binomial(&bitgen, &binomial, transmitted, a->outcoupling, &outside))
         return SHOT_IN_PYTHON;

@@ -34,19 +34,18 @@ fewer, forked once the kernel is built, runs one share each.
 
 Every shot of a configuration whose source is resonant (detuning 0) or
 has no pumping hops, which is every preset, runs as one call of a small C
-kernel, ``_window.c``'s ``shot``; per shot, the Python around a kernel
-call used to cost several times the kernel itself.  The kernel keys the
-shot's Philox stream as ``shot_rng`` does, makes the draws of
-``_run_shot_py`` in the same order through the numpy distribution
-functions (``libnpyrandom``) that ``Generator`` itself calls, and repeats
-every float expression, so the stream and every result are unchanged.  A
-detuned window's T and S come from a real-arithmetic port of CPython's
-complex operations in the dispersive spectrum; after a pumping hop they
-would have to be recomputed, so detuned and pumped configurations run in
-Python.  ``shot`` is the only compiled path; ``_kernel`` builds and loads
-it, and ``run_shot`` reaches it through a CPython ``METH_FASTCALL`` entry
-point, ``shot(args, shot_index)``: a ctypes call and its index store cost
-more than the shot itself.
+kernel, ``_window.c``'s ``shot``.  The kernel keys the shot's Philox
+stream as ``shot_rng`` does, makes the draws of ``_run_shot_py`` in the
+same order through the numpy distribution functions (``libnpyrandom``)
+that ``Generator`` itself calls, and repeats every float expression, so
+the stream and every result are unchanged.  A detuned window's T and S
+come from a real-arithmetic port of CPython's complex operations in the
+dispersive spectrum; after a pumping hop they would have to be
+recomputed, so detuned and pumped configurations run in Python.
+``shot`` is the only compiled path.  ``_kernel`` builds the kernel and
+loads it once, as an extension module, and packs a configuration into
+the kernel's one argument layout, ``struct shot_args``; ``run_shot``
+calls the module's entry point ``shot(args, shot_index)``.
 
 A chunk of shots (``_run_range``) runs into one ``(n, 9)`` int64 block,
 the chunk scratch's rows: the kernel writes each shot's record into its
@@ -64,8 +63,8 @@ shot.  The kernel is compiled on first use with the system C compiler and
 cached in the package's ``__pycache__``, and without a compiler every
 shot runs in Python, with identical results.  A shot in which the kernel
 meets a draw that numpy would reject, or that stores more excitations
-than the kernel holds, also runs in Python, where ``Generator`` raises
-its own error.
+than ``_window.c``'s ``ETA_CAPACITY``, also runs in Python, where
+``Generator`` raises its own error.
 """
 
 from __future__ import annotations
@@ -437,8 +436,8 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord | 
     One call of the compiled ``shot`` when the kernel runs this
     configuration, else ``_run_shot_py``.  A shot in which the kernel
     meets a draw that numpy's Generator rejects, or that stores more than
-    ``_kernel._ETA_CAPACITY`` excitations, runs again in ``_run_shot_py``,
-    where the Generator raises its own error.
+    ``_window.c``'s ``ETA_CAPACITY`` excitations, runs again in
+    ``_run_shot_py``, where the Generator raises its own error.
 
     Without ``_scratch``, returns the shot's ``ShotRecord``.  With a chunk
     scratch, ``_shot_scratch(config, rows, first)``, writes the record
