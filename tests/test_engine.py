@@ -261,6 +261,24 @@ def _require_kernel():
     assert _kernel._window_kernel() is not None, "the window kernel did not build"
 
 
+@pytest.fixture(scope="module")
+def sanitized_child(tmp_path_factory):
+    """SANITIZER_RUN, run once, with the kernel built under AddressSanitizer
+    and UndefinedBehaviorSanitizer: the finished subprocess."""
+    _require_compiler()
+    libasan = subprocess.run([_kernel._CC, "-print-file-name=libasan.so"],
+                             capture_output=True, text=True, check=True).stdout.strip()
+    tmp = tmp_path_factory.mktemp("sanitized")
+    # pymalloc's pools are not poisoned: PYTHONMALLOC=malloc lets the
+    # sanitizer see the bounds of every ctypes buffer
+    return subprocess.run(
+        [sys.executable, "-c", SANITIZER_RUN, os.path.dirname(__file__),
+         str(tmp / "cache"), "-fsanitize=address,undefined", "-fno-sanitize-recover=all"],
+        capture_output=True, text=True, cwd=tmp, timeout=900,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LD_PRELOAD=libasan,
+                 ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc"))
+
+
 def _python_shots():
     """Every shot runs in Python while this is active."""
     return mock.patch.object(_kernel, "_window_kernel", lambda: None)
@@ -505,6 +523,11 @@ class TestWindowKernel:
     def test_random_windows_equal_python(self, **window):
         _require_kernel()
         _check_random_windows(**window)
+
+    def test_sanitized_random_windows_equal_python(self, sanitized_child):
+        # the same comparison, in the child built under both sanitizers
+        assert sanitized_child.returncode == 0, sanitized_child.stderr[-4000:]
+        assert "random windows checked" in sanitized_child.stdout.splitlines()
 
     @pytest.mark.parametrize("etas, source, pumping, match", [
         ([2.0], SourceDrive(1e19), NO_PUMP, "lam value too large"),
@@ -1154,21 +1177,10 @@ class TestShotKernel:
         assert done.returncode == 0, done.stderr[-4000:]
         assert int(done.stdout) > 100  # bindings compared
 
-    def test_sanitized_random_shots_equal_python(self, tmp_path):
-        _require_compiler()
-        libasan = subprocess.run([_kernel._CC, "-print-file-name=libasan.so"],
-                                 capture_output=True, text=True, check=True).stdout.strip()
-        # pymalloc's pools are not poisoned: PYTHONMALLOC=malloc lets the
-        # sanitizer see the bounds of every ctypes buffer
-        done = subprocess.run(
-            [sys.executable, "-c", SANITIZER_RUN, os.path.dirname(__file__),
-             str(tmp_path / "cache"), "-fsanitize=address,undefined",
-             "-fno-sanitize-recover=all"],
-            capture_output=True, text=True, cwd=tmp_path, timeout=900,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LD_PRELOAD=libasan,
-                     ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc"))
-        assert done.returncode == 0, done.stderr[-4000:]
-
+    def test_address_sanitized_random_shots_equal_python(self, sanitized_child):
+        # rows outside the block and entry-point refusals under both sanitizers
+        assert sanitized_child.returncode == 0, sanitized_child.stderr[-4000:]
+        assert "refusals checked" in sanitized_child.stdout.splitlines()
 
 # _check_random_windows, whose ranges write rows from a block offset,
 # _check_rows_outside_the_block_refused and _check_entry_point_refusals, in
@@ -1184,5 +1196,7 @@ t._kernel._CFLAGS += tuple(sys.argv[3:])
 assert t._kernel._window_kernel() is not None, "the sanitized kernel did not build"
 t._check_rows_outside_the_block_refused()
 t._check_entry_point_refusals()
+print("refusals checked", flush=True)
 t.settings(max_examples=40, deadline=None)(t.RANDOM_WINDOWS(t._check_random_windows))()
+print("random windows checked", flush=True)
 """
