@@ -2,9 +2,8 @@
  *
  * shot runs a whole repetition of engine._run_shot_py: gate storage,
  * spin-wave decay, the source window, outcoupling, retrieval and the two
- * counting chains.  engine.run_shot calls it for every shot whose source
- * is resonant or has no pumping hops (engine._kernel_can_run), which is
- * every shot of the presets.  It keys its own Philox4x64-10 stream from
+ * counting chains.  engine.run_shot calls it for every shot once this
+ * file is built.  It keys its own Philox4x64-10 stream from
  * (master_seed, shot_index) exactly as engine.shot_rng keys numpy's, and
  * makes every draw in the same order through the numpy distribution
  * functions (libnpyrandom) that numpy's Generator calls, so a shot run
@@ -31,8 +30,9 @@
  * incident photon number is drawn, branch for branch, drawing from the
  * caller's bit generator.  Its T and S come from window_probabilities, a
  * real-arithmetic port of CPython's complex operations in
- * qed.cavity_transmission_spectrum; a pumping hop changes them, so it
- * recomputes them, which only a resonant window may do.
+ * qed.cavity_transmission_spectrum.  A pumping hop changes them, so it
+ * recomputes them after the hop: with resonant_probabilities on
+ * resonance, and with window_probabilities off it.
  *
  * A shot keeps its stored cooperativities on its own stack, at most
  * ETA_CAPACITY of them.  A shot that stores more, or meets a draw that
@@ -307,7 +307,10 @@ int64_t source_window(bitgen_t *bitgen, const struct shot_args *a, int64_t photo
             }
             etas[j] *= hop_ratio;
             total = total_eta(etas, n_etas);
-            resonant_probabilities(total, &t, &s);  /* hops run here only on resonance */
+            if (delta == 0.0)
+                resonant_probabilities(total, &t, &s);
+            else
+                window_probabilities(a, total, &t, &s);
         }
     }
     return transmitted;

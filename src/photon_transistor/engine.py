@@ -32,20 +32,19 @@ shots into contiguous shares, one for each process that computes: the
 calling process runs the first share itself, and a pool of one process
 fewer, forked once the kernel is built, runs one share each.
 
-Every shot of a configuration whose source is resonant (detuning 0) or
-has no pumping hops, which is every preset, runs as one call of a small C
-kernel, ``_window.c``'s ``shot``.  The kernel keys the shot's Philox
-stream as ``shot_rng`` does, makes the draws of ``_run_shot_py`` in the
-same order through the numpy distribution functions (``libnpyrandom``)
-that ``Generator`` itself calls, and repeats every float expression, so
-the stream and every result are unchanged.  A detuned window's T and S
-come from a real-arithmetic port of CPython's complex operations in the
-dispersive spectrum; after a pumping hop they would have to be
-recomputed, so detuned and pumped configurations run in Python.
-``shot`` is the only compiled path.  ``_kernel`` builds the kernel and
-loads it once, as an extension module, and packs a configuration into
-the kernel's one argument layout, ``struct shot_args``; ``run_shot``
-calls the module's entry point ``shot(args, shot_index)``.
+Every shot runs as one call of a small C kernel, ``_window.c``'s
+``shot``, whenever the kernel is built.  The kernel keys the shot's
+Philox stream as ``shot_rng`` does, makes the draws of ``_run_shot_py``
+in the same order through the numpy distribution functions
+(``libnpyrandom``) that ``Generator`` itself calls, and repeats every
+float expression, so the stream and every result are unchanged.  A
+detuned window's T and S, at the start of the window and after every
+pumping hop, come from a real-arithmetic port of CPython's complex
+operations in the dispersive spectrum.  ``shot`` is the only compiled
+path.  ``_kernel`` builds the kernel and loads it once, as an extension
+module, and packs a configuration into the kernel's one argument layout,
+``struct shot_args``; ``run_shot`` calls the module's entry point
+``shot(args, shot_index)``.
 
 A chunk of shots (``_run_range``) runs into one ``(n, 9)`` int64 block,
 the chunk scratch's rows: the kernel writes each shot's record into its
@@ -319,13 +318,6 @@ def _window_probabilities(delta: float, total_eta: float, cavity: CavityParams,
     return qed.cavity_transmission_spectrum(delta, (), cavity, atoms), 0.0
 
 
-def _kernel_can_run(source: SourceDrive, pumping: PumpingModel) -> bool:
-    """Whether the kernel runs the shots of this source and pumping:
-    resonant ones, and detuned ones without pumping hops, whose T and S
-    stay constant over the window."""
-    return source.detuning == 0.0 or pumping.hop_prob_per_scatter == 0.0
-
-
 def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingModel,
                          cavity: CavityParams, atoms: AtomParams,
                          rng: np.random.Generator) -> tuple[int, SpinWave]:
@@ -433,11 +425,11 @@ def detect(true_count: int, window: float, efficiency: float, dark_rate: float,
 def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord | None:
     """One full repetition, fully determined by (master_seed, shot_index).
 
-    One call of the compiled ``shot`` when the kernel runs this
-    configuration, else ``_run_shot_py``.  A shot in which the kernel
-    meets a draw that numpy's Generator rejects, or that stores more than
-    ``_window.c``'s ``ETA_CAPACITY`` excitations, runs again in
-    ``_run_shot_py``, where the Generator raises its own error.
+    One call of the compiled ``shot`` when the kernel is built, else
+    ``_run_shot_py``.  A shot in which the kernel meets a draw that
+    numpy's Generator rejects, or that stores more than ``_window.c``'s
+    ``ETA_CAPACITY`` excitations, runs again in ``_run_shot_py``, where
+    the Generator raises its own error.
 
     Without ``_scratch``, returns the shot's ``ShotRecord``.  With a chunk
     scratch, ``_shot_scratch(config, rows, first)``, writes the record
@@ -506,17 +498,15 @@ def _shot_scratch(config: RunConfig, rows: np.ndarray, first: int) -> tuple:
     ``rows``, an ``(n, 9)`` int64 block:
     ``(shot, args, rows, first, None)``, the compiled ``shot``'s entry
     point with the configuration and the block packed into its
-    arguments, when the kernel runs this configuration
-    (``_kernel_can_run``); otherwise ``(None, None, rows, first,
-    stream)``, with a Philox stream rekeyed per shot.
+    arguments, when the kernel is built; otherwise ``(None, None, rows,
+    first, stream)``, with a Philox stream rekeyed per shot.
 
     What depends on the configuration alone is computed here once, with
     the Python engine's expressions: the decay survival probability, the
     dark-count means and, for a detuned window, the empty-cavity T, the
     complex denominators of ``qed.cavity_transmission_spectrum`` and the
     Lorentzian of ``_transmission_and_scatter``."""
-    kernel = (_kernel._window_kernel() if _kernel_can_run(config.source, config.pumping)
-              else None)
+    kernel = _kernel._window_kernel()
     if kernel is None:
         bitgen = np.random.Philox(key=0)  # rekeyed for every shot
         return None, None, rows, first, (bitgen, np.random.Generator(bitgen))
@@ -586,8 +576,7 @@ def run_experiment(config: RunConfig, workers: int = 1) -> np.recarray:
         return _run_range((config, 0, n))
     # at least one pool process, so that every parallel call makes a pool
     shares = max(2, bound_workers(workers, n))
-    if _kernel_can_run(config.source, config.pumping):
-        _kernel._window_kernel()  # built here once, not in every pool process
+    _kernel._window_kernel()  # built here once, not in every pool process
     ranges = [(config, n * i // shares, n * (i + 1) // shares) for i in range(shares)]
     with ProcessPoolExecutor(max_workers=shares - 1) as pool:
         futures = [pool.submit(_run_range, share) for share in ranges[1:]]

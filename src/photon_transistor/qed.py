@@ -19,9 +19,10 @@ different polarization overlap factors, so the cooperativity seen by a
 stored excitation is a random variable.  Because T and S are nonlinear
 in eta, averaging over that distribution yields *different* effective
 cooperativities depending on which observable is matched; this module
-estimates all three (plain mean, extinction-matched, scattering-matched)
-by Monte Carlo.  The gain-slope prediction (``mean_blocked_transmission``)
-is an exact finite sum.
+computes all three (plain mean, extinction-matched, scattering-matched)
+exactly, as finite sums over a model's levels or in closed form for a
+standing wave.  The gain-slope prediction (``mean_blocked_transmission``)
+is an exact finite sum too.
 """
 
 from __future__ import annotations
@@ -195,25 +196,8 @@ def sample_cooperativity(model: CooperativityModel, rng: np.random.Generator) ->
     return model.eta0 * model.geometric_weight
 
 
-def _sample_cooperativities(model: CooperativityModel, n: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """``n`` draws of ``sample_cooperativity``: the same rule, consuming the
-    stream the same way."""
-    if model.levels is not None:
-        etas = np.array([lv[0] for lv in model.levels])
-        cdf = np.cumsum([lv[1] for lv in model.levels])
-        idx = np.searchsorted(cdf, rng.random(n), side="right")
-        return etas[np.minimum(idx, etas.size - 1)]
-    if model.standing_wave:
-        kz = rng.uniform(0.0, math.pi, size=n)
-        return model.eta0 * model.geometric_weight * np.cos(kz) ** 2
-    return np.full(n, model.eta0 * model.geometric_weight)
-
-
-def effective_cooperativities(model: CooperativityModel, n_samples: int,
-                              rng: np.random.Generator) -> EffectiveCooperativities:
-    """Monte Carlo estimate of the three effective cooperativities of the
-    distribution:
+def effective_cooperativities(model: CooperativityModel) -> EffectiveCooperativities:
+    """The three effective cooperativities of the distribution, exact:
 
     * eta_mean: plain average <eta>.
     * eta_transmission: the constant cooperativity with the same average
@@ -221,13 +205,22 @@ def effective_cooperativities(model: CooperativityModel, n_samples: int,
     * eta_scattering: the constant cooperativity with the same average
       free-space scattering, 2 eta_a/(1+eta_a)^2 = <2 eta/(1+eta)^2>,
       taking the root >= 1.
+
+    A levels or constant model averages over its levels, as finite sums.
+    A standing wave, eta = c cos^2(theta) with theta uniform and
+    c = eta0 * geometric_weight, has <eta> = c/2,
+    <(1+eta)^-2> = (2+c) / (2 (1+c)^(3/2)) and
+    <2 eta/(1+eta)^2> = c / (1+c)^(3/2).
     """
-    if n_samples < 10_000:
-        raise ValueError("n_samples must be >= 10^4 for useful precision")
-    etas = _sample_cooperativities(model, n_samples, rng)
-    mean_eta = float(np.mean(etas))
-    mean_t = float(np.mean((1.0 + etas) ** -2))
-    mean_s = float(np.mean(2.0 * etas / (1.0 + etas) ** 2))
+    if model.levels is None and model.standing_wave:
+        c = model.eta0 * model.geometric_weight
+        power = (1.0 + c) ** 1.5
+        mean_eta, mean_t, mean_s = c / 2.0, (2.0 + c) / (2.0 * power), c / power
+    else:
+        levels = model.levels or ((model.eta0 * model.geometric_weight, 1.0),)
+        mean_eta = math.fsum(prob * eta for eta, prob in levels)
+        mean_t = math.fsum(prob * extinction(eta) for eta, prob in levels)
+        mean_s = math.fsum(prob * free_space_scatter_prob(eta) for eta, prob in levels)
     eta_t = mean_t ** -0.5 - 1.0
     if mean_s <= 0.0:
         eta_a = 0.0

@@ -347,11 +347,7 @@ def _compiled_window(spin, source, pumping, cavity, atoms, rng):
 
 def _assert_windows_equal(etas, source, pumping, rng):
     """The kernel's window and the Python one, from equal spins and
-    streams, give the same window and leave the stream in the same state.
-    Windows that are detuned and pumped are not compared: they run in
-    Python only."""
-    if not engine._kernel_can_run(source, pumping):
-        return
+    streams, give the same window and leave the stream in the same state."""
     rng_py = np.random.Generator(np.random.Philox())
     rng_py.bit_generator.state = rng.bit_generator.state
     spin, spin_py = SpinWave(len(etas), list(etas)), SpinWave(len(etas), list(etas))
@@ -368,18 +364,23 @@ ETA_CAPACITY = int(re.search(r"#define ETA_CAPACITY (\d+)",
                              pathlib.Path(_kernel._KERNEL_SOURCE).read_text())[1])
 
 
-RANDOM_WINDOWS = given(
-    eta0=st.floats(0.0, 20.0),
-    levels=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
-    standing_wave=st.booleans(),
-    stored=st.floats(0.0, 40.0),
-    photons=st.floats(0.0, 3000.0),
-    detuning=st.one_of(st.just(0.0), st.floats(-1e8, 1e8)),
-    hop_prob=st.one_of(st.just(0.0), st.floats(0.01, 0.99), st.just(1.0)),
-    hop_ratio=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
-    dark=st.floats(0.0, 1e6),
-    retrieval=st.booleans(),
-    seed=st.integers(0, 2 ** 64 - 1))
+def RANDOM_WINDOWS(check):
+    """``check`` as a hypothesis test over random configs, one of which is
+    always a detuned window whose atoms scatter and hop."""
+    return example(eta0=3.3, levels=None, standing_wave=False, stored=2.0,
+                   photons=200.0, detuning=DETUNED, hop_prob=1.0, hop_ratio=0.5,
+                   dark=0.0, retrieval=True, seed=1)(given(
+        eta0=st.floats(0.0, 20.0),
+        levels=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+        standing_wave=st.booleans(),
+        stored=st.floats(0.0, 40.0),
+        photons=st.floats(0.0, 3000.0),
+        detuning=st.one_of(st.just(0.0), st.floats(-1e8, 1e8)),
+        hop_prob=st.one_of(st.just(0.0), st.floats(0.01, 0.99), st.just(1.0)),
+        hop_ratio=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)),
+        dark=st.floats(0.0, 1e6),
+        retrieval=st.booleans(),
+        seed=st.integers(0, 2 ** 64 - 1))(check))
 
 
 def _check_random_windows(eta0, levels, standing_wave, stored, photons, detuning,
@@ -423,14 +424,18 @@ def _check_rows_outside_the_block_refused():
     assert block[1:-1].tolist() == [list(run_shot(cfg, i)) for i in (10, 11, 12)]
 
 
-def _fig4e_and_detuned_fig2_points():
-    """A fig4e point and the detuned fig2 point, and their tables from the
-    Python engine."""
+def _fig4e_and_detuned_points():
+    """A fig4e point, the detuned fig2 point and a fig4ab point detuned by
+    half a cavity linewidth, whose atoms scatter and hop, and their tables
+    from the Python engine."""
     [detuned] = [p for p in presets.get_preset("fig2").points
                  if p.meta["n_g_stored"] == 1.4 and p.meta["detuning_mhz"] == 1.0]
+    pumped = presets.get_preset("fig4ab").points[12].config
     configs = [replace(presets.get_preset("fig4e").points[3].config, n_shots=600,
                        master_seed=59),
-               replace(detuned.config, n_shots=300, master_seed=61)]
+               replace(detuned.config, n_shots=300, master_seed=61),
+               replace(pumped, source=replace(pumped.source, detuning=DETUNED),
+                       n_shots=300, master_seed=67)]
     with _python_shots():
         return configs, [run_experiment(cfg) for cfg in configs]
 
@@ -1147,7 +1152,7 @@ class TestShotKernel:
         # the kernel writes the table's rows: no ShotRecord is made and no
         # shot runs in Python, in the caller or in a pool process
         _require_kernel()
-        configs, expected = _fig4e_and_detuned_fig2_points()
+        configs, expected = _fig4e_and_detuned_points()
         with mock.patch.object(engine, "ShotRecord", side_effect=AssertionError), \
                 mock.patch.object(engine, "_run_shot_py", side_effect=AssertionError):
             for cfg, table in zip(configs, expected):
@@ -1159,7 +1164,7 @@ class TestShotKernel:
         # opened, and no shot runs in Python, in the caller or in a pool
         # process
         _require_compiler()
-        configs, expected = _fig4e_and_detuned_fig2_points()
+        configs, expected = _fig4e_and_detuned_points()
         with mock.patch.object(ctypes, "CDLL", side_effect=AssertionError), \
                 mock.patch.object(engine, "_run_shot_py", side_effect=AssertionError):
             for cfg, table in zip(configs, expected):

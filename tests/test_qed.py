@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -15,12 +15,25 @@ from photon_transistor.qed import (AtomParams, CavityParams,
                                    free_space_scatter_prob,
                                    matched_level_mixture,
                                    mean_blocked_transmission,
-                                   sample_cooperativity,
-                                   _sample_cooperativities)
+                                   sample_cooperativity)
 
 CAVITY = CavityParams(kappa=2 * math.pi * 1e6, mirror_transmission=6.6e-6,
                       mirror_loss=3.4e-6)
 ATOMS = AtomParams(gamma=2 * math.pi * 5.2e6, eta0=8.6, tau_spinwave=2.1e-6)
+
+
+def _sample_cooperativities(model, n, rng):
+    """``n`` draws of ``sample_cooperativity``: the same rule, consuming the
+    stream the same way."""
+    if model.levels is not None:
+        etas = np.array([lv[0] for lv in model.levels])
+        cdf = np.cumsum([lv[1] for lv in model.levels])
+        idx = np.searchsorted(cdf, rng.random(n), side="right")
+        return etas[np.minimum(idx, etas.size - 1)]
+    if model.standing_wave:
+        kz = rng.uniform(0.0, math.pi, size=n)
+        return model.eta0 * model.geometric_weight * np.cos(kz) ** 2
+    return np.full(n, model.eta0 * model.geometric_weight)
 
 
 class TestExtinction:
@@ -168,14 +181,92 @@ class TestSampling:
         assert vector_rng.random() == scalar_rng.random()
 
 
+LEVELS = st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.01, 1.0)),
+                  min_size=1, max_size=4)
+
+
+def _levels_model(pairs):
+    """A levels model on (eta, weight) pairs, weights normalized."""
+    total = math.fsum(w for _, w in pairs)
+    return CooperativityModel(eta0=max(eta for eta, _ in pairs), standing_wave=False,
+                              levels=tuple((eta, w / total) for eta, w in pairs))
+
+
+def _standing_wave(c):
+    """A standing-wave model of peak cooperativity ``c``."""
+    return CooperativityModel(eta0=20.0, standing_wave=True, geometric_weight=c / 20.0)
+
+
+def _means(eff):
+    """<eta>, <(1+eta)^-2> and <2 eta/(1+eta)^2> that ``eff`` matches."""
+    return (eff.eta_mean, extinction(eff.eta_transmission),
+            free_space_scatter_prob(eff.eta_scattering))
+
+
 class TestEffectiveCooperativities:
     def test_constant_distribution_collapses(self):
-        model = CooperativityModel(eta0=8.6, levels=((2.8, 1.0),))
-        rng = np.random.default_rng(6)
-        eff = effective_cooperativities(model, 1_000_000, rng)
-        assert abs(eff.eta_mean - 2.8) < 1e-3
-        assert abs(eff.eta_transmission - 2.8) < 1e-3
-        assert abs(eff.eta_scattering - 2.8) < 1e-3
+        for model in (CooperativityModel(eta0=8.6, levels=((2.8, 1.0),)),
+                      CooperativityModel(eta0=2.8, standing_wave=False)):
+            eff = effective_cooperativities(model)
+            assert abs(eff.eta_mean - 2.8) < 1e-12
+            assert abs(eff.eta_transmission - 2.8) < 1e-12
+            assert abs(eff.eta_scattering - 2.8) < 1e-12
+
+    @pytest.mark.parametrize("c", [0.3, 3.3, 8.6, 20.0])
+    def test_standing_wave_equals_gauss_legendre(self, c):
+        # 200-point Gauss-Legendre quadrature over the phase, theta in [0, pi)
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        etas = c * np.cos(math.pi / 2 * (nodes + 1.0)) ** 2
+        quadrature = [float(weights @ f) / 2 for f in
+                      (etas, (1.0 + etas) ** -2, 2.0 * etas / (1.0 + etas) ** 2)]
+        exact = _means(effective_cooperativities(_standing_wave(c)))
+        assert np.allclose(exact, quadrature, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("model", [
+        _standing_wave(2.8 / 4.3 * 8.6), matched_pair_cooperativity(),
+        CooperativityModel(eta0=8.6, levels=((3.3, 0.1), (0.3, 0.2), (1.0, 0.7)))],
+        ids=["standing-wave", "matched-pair", "three-levels"])
+    def test_within_five_standard_errors_of_a_draw(self, model):
+        etas = _sample_cooperativities(model, 1_000_000, np.random.default_rng(9))
+        exact = _means(effective_cooperativities(model))
+        for value, draws in zip(exact, (etas, (1.0 + etas) ** -2,
+                                        2.0 * etas / (1.0 + etas) ** 2)):
+            # the matched pair scatters the same at both levels, so its
+            # scattering draws spread by rounding only
+            sem = float(np.std(draws, ddof=1)) / math.sqrt(draws.size)
+            assert abs(value - float(np.mean(draws))) < 5 * sem + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=LEVELS, data=st.data())
+    def test_split_level_unchanged(self, pairs, data):
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        eta, weight = pairs[k]
+        split = [*pairs[:k], (eta, weight / 2), (eta, weight / 2), *pairs[k + 1:]]
+        assert np.allclose(effective_cooperativities(_levels_model(pairs)),
+                           effective_cooperativities(_levels_model(split)),
+                           rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=LEVELS, data=st.data())
+    def test_level_order_unchanged(self, pairs, data):
+        shuffled = data.draw(st.permutations(pairs))
+        assert np.allclose(effective_cooperativities(_levels_model(pairs)),
+                           effective_cooperativities(_levels_model(shuffled)),
+                           rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=LEVELS, c=st.floats(1e-4, 1e-2), standing_wave=st.booleans())
+    def test_weak_coupling_limit(self, pairs, c, standing_wave):
+        # T and S are linear in eta to first order, so as the largest
+        # cooperativity c vanishes both effective values tend to <eta>
+        # (eta_S as its reciprocal root), each off by at most a few c
+        top = max(eta for eta, _ in pairs)
+        assume(standing_wave or top > 0.0)
+        model = (_standing_wave(c) if standing_wave else
+                 _levels_model([(c * (eta / top), w) for eta, w in pairs]))
+        eff = effective_cooperativities(model)
+        assert abs(eff.eta_transmission / eff.eta_mean - 1.0) <= 4 * c
+        assert abs(1.0 / eff.eta_scattering / eff.eta_mean - 1.0) <= 4 * c
 
     def test_calibrated_model_against_quadrature(self):
         # independent oracle: quadrature of the standing-wave averages
@@ -189,11 +280,10 @@ class TestEffectiveCooperativities:
         mean_t, _ = quad(lambda z: extinction(eta_of(z)) / math.pi, 0, math.pi)
         mean_s, _ = quad(lambda z: free_space_scatter_prob(eta_of(z)) / math.pi,
                          0, math.pi)
-        rng = np.random.default_rng(7)
-        eff = effective_cooperativities(model, 1_000_000, rng)
-        assert abs(eff.eta_mean - 2.8) < 0.01
-        assert abs(extinction(eff.eta_transmission) - mean_t) < 0.002
-        assert abs(free_space_scatter_prob(eff.eta_scattering) - mean_s) < 0.002
+        eff = effective_cooperativities(model)
+        assert abs(eff.eta_mean - 2.8) < 1e-12
+        assert abs(extinction(eff.eta_transmission) - mean_t) < 1e-12
+        assert abs(free_space_scatter_prob(eff.eta_scattering) - mean_s) < 1e-12
         # the single-weight model lands well away from the (1.5, 3.3) pair
         assert abs(eff.eta_transmission - 1.112) < 0.02
         assert abs(eff.eta_scattering - 3.792) < 0.05
@@ -201,17 +291,21 @@ class TestEffectiveCooperativities:
     def test_matched_mixture_hits_both_targets(self):
         model = matched_level_mixture(eta_scattering=3.3, mean_extinction=0.16,
                                       eta0=8.6)
-        rng = np.random.default_rng(8)
-        eff = effective_cooperativities(model, 500_000, rng)
-        # scattering is invariant under eta -> 1/eta, so this one is exact
-        assert abs(eff.eta_scattering - 3.3) < 1e-9
-        assert abs(eff.eta_transmission - 1.5) < 0.02
-        assert abs(eff.eta_mean - 2.707) < 0.01
+        eff = effective_cooperativities(model)
+        # the low level's weight f puts the average extinction at 0.16
+        f = (0.16 - extinction(3.3)) / (extinction(1 / 3.3) - extinction(3.3))
+        assert abs(eff.eta_scattering - 3.3) < 1e-12
+        assert abs(eff.eta_transmission - 1.5) < 1e-12
+        assert abs(eff.eta_mean - (3.3 - f * (3.3 - 1 / 3.3))) < 1e-12
+        assert abs(eff.eta_mean - 2.7065) < 1e-4
 
-    def test_small_sample_count_rejected(self):
+    def test_sample_count_refused(self):
+        # exact, so it takes no sample count and no generator
         model = CooperativityModel(eta0=8.6)
-        with pytest.raises(ValueError):
-            effective_cooperativities(model, 9999, np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            effective_cooperativities(model, 1_000_000, np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            effective_cooperativities(model, n_samples=1_000_000)
 
 
 def _one_shot_blocked_transmission(model, stored_mean, n_samples, rng):
@@ -231,17 +325,6 @@ def _one_shot_blocked_transmission(model, stored_mean, n_samples, rng):
 
 ORACLE_MODELS = [matched_pair_cooperativity(),
                  CooperativityModel(eta0=8.6, standing_wave=False)]
-
-LEVELS = st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.01, 1.0)),
-                  min_size=1, max_size=4)
-
-
-def _levels_model(pairs):
-    """A levels model on (eta, weight) pairs, weights normalized."""
-    total = math.fsum(w for _, w in pairs)
-    return CooperativityModel(eta0=max(eta for eta, _ in pairs), standing_wave=False,
-                              levels=tuple((eta, w / total) for eta, w in pairs))
-
 
 class TestBlockedTransmissionOracle:
     def test_single_excitation_limit(self):
