@@ -4,15 +4,16 @@ ctypes mirror of its ``struct shot_args``.
 This is the only module that knows the kernel's source, how it is built
 and how its arguments are laid out.  The library is loaded once, as a
 CPython extension module whose ``METH_FASTCALL`` function
-``shot(args, shot_index)`` runs every compiled shot.  Every function of
-``_window.c`` that reads a configuration takes it as one
-``struct shot_args``, which ``pack_shot`` packs once for a chunk of
-shots; a shot stores at most ``_window.c``'s ``ETA_CAPACITY``
-excitations, and one that stores more runs in Python.  ``engine``
-computes what a shot of a configuration needs, allocates a chunk's block
-of rows, and runs every shot of the chunk through ``pack_shot``'s result,
-which writes each record into its row; the kernel is built on first use,
-never at import.
+``shot(block, shot_index)`` runs every compiled shot.  ``pack_shot``
+builds one block per chunk of one configuration's shots: the packed
+``struct shot_args``, which holds numbers only, then the cooperativity
+levels, then the chunk's rows.  The entry point finds the levels and the
+rows from the block's own length and writes nothing but the shot's row;
+a shot stores at most ``_window.c``'s ``ETA_CAPACITY`` excitations, and
+one that stores more runs in Python.  ``engine`` computes what a shot of
+a configuration needs and runs every shot of the chunk through
+``pack_shot``'s result; the kernel is built on first use, never at
+import.
 """
 
 from __future__ import annotations
@@ -99,15 +100,14 @@ def _window_kernel():
 
 
 class _ShotArgs(ctypes.Structure):
-    """``struct shot_args`` of ``_window.c``, field for field."""
+    """``struct shot_args`` of ``_window.c``, field for field: the head of
+    a chunk's block."""
 
-    _fields_ = [("master_seed", ctypes.c_uint64), ("shot_index", ctypes.c_uint64),
-                # the chunk's block of rows, engine.ShotRecord's fields in order
-                ("rows", ctypes.POINTER(ctypes.c_int64)), ("first", ctypes.c_uint64),
-                ("n_rows", ctypes.c_uint64),
+    _fields_ = [("master_seed", ctypes.c_uint64),
+                # shot first + j writes row j of the block's n_rows rows
+                ("first", ctypes.c_uint64), ("n_rows", ctypes.c_uint64),
                 ("stored_mean", ctypes.c_double), ("n_levels", ctypes.c_int64),
                 ("standing_wave", ctypes.c_int64),
-                ("levels", ctypes.POINTER(ctypes.c_double)),
                 *((name, ctypes.c_double) for name in (
                     "coop_scale", "storage_time", "survival", "source_mean", "hop_prob",
                     "hop_ratio", "eta_floor", "delta", "empty_t", "cavity_re", "cavity_im",
@@ -118,22 +118,19 @@ class _ShotArgs(ctypes.Structure):
                     "gate_efficiency", "gate_dark_mean"))]
 
 
-def pack_shot(kernel, levels: list[float], rows: np.ndarray, first: int,
-              **fields) -> tuple:
-    """``(shot, args)``: the entry point ``shot`` of ``kernel``, the
-    module of ``_window_kernel``, and its arguments, packed once for a
-    chunk of one configuration's shots; ``shot(args, i)`` runs shot ``i``
-    and returns whether it was refused.
-    ``levels`` are the flattened (eta, probability) pairs of the
-    cooperativity model and ``fields`` the other ``_ShotArgs`` fields but
-    ``shot_index``, which ``shot`` stores per shot.  ``rows`` is the
-    chunk's block, a C-contiguous ``(n, 9)`` int64 array that must outlive
-    the arguments: shot ``first + j`` writes row ``j``, and ``shot``
-    refuses a shot outside the block."""
-    if rows.dtype != np.int64 or rows.ndim != 2 or rows.shape[1] != 9 \
-            or not rows.flags.c_contiguous or not rows.flags.writeable:
-        raise ValueError("rows must be a writeable C-contiguous (n, 9) int64 array")
-    args = _ShotArgs(n_levels=len(levels) // 2, levels=(ctypes.c_double * len(levels))(*levels),
-                     rows=rows.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)), first=first,
-                     n_rows=len(rows), **fields)
-    return kernel.shot, args
+def pack_shot(kernel, levels: list[float], n_rows: int, **fields) -> tuple:
+    """``(shot, block, rows)``: the entry point ``shot`` of ``kernel``, the
+    module of ``_window_kernel``, and one block for a chunk of
+    ``n_rows`` of one configuration's shots; ``shot(block, i)`` runs shot
+    ``i`` and returns whether it was refused.
+    ``block`` is one ``bytearray``: the packed ``_ShotArgs``, then
+    ``levels``, the flattened (eta, probability) pairs of the
+    cooperativity model, as float64, then the zeroed rows.  ``fields``
+    are the other ``_ShotArgs`` fields.  ``rows`` is the ``(n_rows, 9)``
+    int64 view of the block's tail: shot ``first + j`` writes row ``j``,
+    and ``shot`` refuses a shot outside the rows."""
+    head = bytes(_ShotArgs(n_levels=len(levels) // 2, n_rows=n_rows, **fields))
+    tail = len(head) + 8 * len(levels)
+    block = bytearray(tail + 72 * n_rows)
+    block[:tail] = head + np.array(levels, np.float64).tobytes()
+    return kernel.shot, block, np.frombuffer(block, np.int64, offset=tail).reshape(n_rows, 9)

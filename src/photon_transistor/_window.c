@@ -14,15 +14,15 @@
  * fallback where no compiler is found.
  *
  * Every function that reads a configuration takes it as one
- * const struct shot_args, which _kernel.pack_shot packs once for a chunk
- * of shots.  shot writes its record, ShotRecord's nine fields as int64,
- * straight into the shot's row of the chunk's block; it refuses a shot
- * whose row is outside the block and writes nothing for it.
+ * const struct shot_args, numbers only, which heads the block that
+ * _kernel.pack_shot builds for a chunk of shots.  shot writes its record,
+ * ShotRecord's nine fields as int64, straight into the shot's row of the
+ * block; it refuses a shot outside the rows and writes nothing for it.
  *
  * _kernel.py builds this file and loads it once, as the CPython extension
- * module _window, whose METH_FASTCALL function shot(args, shot_index)
- * takes the packed arguments through the buffer protocol, stores the
- * index and calls shot, holding the GIL.  source_window, philox_raw and
+ * module _window, whose METH_FASTCALL function shot(block, shot_index)
+ * takes the block through the buffer protocol, checks its length and
+ * calls shot, holding the GIL.  source_window, philox_raw and
  * window_probabilities_of are plain exports that only the tests call,
  * through ctypes.
  *
@@ -47,7 +47,7 @@
 /* return value of source_window when a draw is rejected */
 #define REJECTED (-1)
 /* return value of shot when a draw is rejected, the etas do not fit or
-   the shot's row is outside the attached block */
+   the shot's row is outside the block */
 #define SHOT_IN_PYTHON 1
 /* the most stored excitations a compiled shot holds */
 #define ETA_CAPACITY 1024
@@ -133,24 +133,20 @@ void philox_raw(const uint64_t *key, uint64_t *out, int64_t n)
 /* ---- one configuration ---- */
 
 /* One configuration's parameters, packed once per chunk by
- * _kernel.pack_shot (its ctypes mirror is _kernel._ShotArgs), the shot
- * to run, and the chunk's block of rows.  Every field is 8 bytes, so the
- * layout has no padding. */
+ * _kernel.pack_shot (its ctypes mirror is _kernel._ShotArgs) at the head
+ * of the chunk's 8-byte aligned block: this struct, the levels as
+ * 2 * n_levels doubles, n_rows rows of 9 int64 (ShotRecord's fields in
+ * order) and nothing else.  Every field is 8 bytes, so there is no padding. */
 struct shot_args {
-    uint64_t master_seed, shot_index;
-    /* the chunk's block: n_rows rows of 9 int64, ShotRecord's fields in
-       order; shot i writes row i - first, and a shot outside
-       [first, first + n_rows) is refused.  A block never attached has no
-       rows, so every shot is refused. */
-    int64_t *rows;
-    uint64_t first, n_rows;
+    /* shot i keys its stream with (master_seed, i) and writes row
+       i - first; a shot outside [first, first + n_rows) is refused */
+    uint64_t master_seed, first, n_rows;
     /* gate storage: the stored mean, and the cooperativity rule of
        qed.sample_cooperativity: n_levels (eta, probability) pairs, or
        coop_scale = eta0 * geometric_weight, times cos^2 of a uniform
        phase with standing_wave */
     double stored_mean;
     int64_t n_levels, standing_wave;
-    const double *levels;
     double coop_scale;
     /* decay: the storage time and exp(-storage time / lifetime) */
     double storage_time, survival;
@@ -328,17 +324,18 @@ static int add_poisson(bitgen_t *bitgen, double lam, int64_t *sum)
     return 1;
 }
 
-/* qed.sample_cooperativity */
-static double sample_cooperativity(bitgen_t *bitgen, const struct shot_args *a)
+/* qed.sample_cooperativity, with a's n_levels pairs in levels */
+static double sample_cooperativity(bitgen_t *bitgen, const struct shot_args *a,
+                                   const double *levels)
 {
     if (a->n_levels > 0) {
         double u = random_standard_uniform(bitgen), acc = 0.0;
         for (int64_t i = 0; i < a->n_levels; i++) {
-            acc += a->levels[2 * i + 1];
+            acc += levels[2 * i + 1];
             if (u < acc)
-                return a->levels[2 * i];
+                return levels[2 * i];
         }
-        return a->levels[2 * a->n_levels - 2];
+        return levels[2 * a->n_levels - 2];
     }
     if (a->standing_wave) {
         double c = cos(random_uniform(bitgen, 0.0, PI));
@@ -361,19 +358,20 @@ static int detect(bitgen_t *bitgen, binomial_t *state, int64_t true_count,
     return add_poisson(bitgen, dark_mean, detected);
 }
 
-/* Runs shot a->shot_index of the configuration in a and writes its
- * record into its row of a->rows.  Returns 0, or SHOT_IN_PYTHON, having
- * written nothing, when the row is outside the block, a draw that numpy's
- * Generator rejects comes up, or more than ETA_CAPACITY excitations are
- * stored; the caller then runs the shot in Python. */
-int shot(const struct shot_args *a)
+/* Runs shot shot_index of the configuration in a, with its levels, and
+ * writes its record into its row of rows.  Returns 0, or SHOT_IN_PYTHON,
+ * having written nothing, when the row is outside the block, a draw that
+ * numpy's Generator rejects comes up, or more than ETA_CAPACITY
+ * excitations are stored; the caller then runs the shot in Python. */
+static int shot(const struct shot_args *a, const double *levels, int64_t *rows,
+                uint64_t shot_index)
 {
     /* unsigned, so an index below first wraps to a row past the block */
-    uint64_t row = a->shot_index - a->first;
+    uint64_t row = shot_index - a->first;
     if (row >= a->n_rows)
         return SHOT_IN_PYTHON;
     philox_t stream;
-    philox_seed(&stream, a->master_seed, a->shot_index);
+    philox_seed(&stream, a->master_seed, shot_index);
     bitgen_t bitgen = {&stream, philox_next64, philox_next32, philox_next_double,
                        philox_next64};
     binomial_t binomial = {0};
@@ -383,7 +381,7 @@ int shot(const struct shot_args *a)
     if (!add_poisson(&bitgen, a->stored_mean, &n_stored) || n_stored > ETA_CAPACITY)
         return SHOT_IN_PYTHON;
     for (int64_t i = 0; i < n_stored; i++)
-        etas[i] = sample_cooperativity(&bitgen, a);
+        etas[i] = sample_cooperativity(&bitgen, a, levels);
     int survived = 1;
     if (n_stored > 0 && a->storage_time != 0.0)
         survived = !(random_standard_uniform(&bitgen) >= a->survival);
@@ -406,8 +404,8 @@ int shot(const struct shot_args *a)
                        &gate))
         return SHOT_IN_PYTHON;
 
-    int64_t *r = a->rows + 9 * row;
-    r[0] = (int64_t)a->shot_index;
+    int64_t *r = rows + 9 * row;
+    r[0] = (int64_t)shot_index;
     r[1] = n_stored;
     r[2] = transmitted;
     r[3] = outside;
@@ -421,11 +419,11 @@ int shot(const struct shot_args *a)
 
 /* ---- the entry point of engine.run_shot ---- */
 
-/* shot(args, shot_index) from Python: stores shot_index in args, the
- * writeable buffer of a _kernel._ShotArgs, runs the shot and returns
- * whether it was refused.  A buffer that is not writeable or not
- * sizeof(struct shot_args) bytes long, or an index outside [0, 2^64),
- * raises and writes nothing.  The GIL is held throughout. */
+/* shot(block, shot_index) from Python: runs the shot in the writeable
+ * block of _kernel.pack_shot and returns whether it was refused.  A
+ * buffer that is not writeable, not 8-byte aligned or not exactly as long
+ * as its header's n_levels and n_rows make a block, or an index outside
+ * [0, 2^64), raises and writes nothing.  The GIL is held throughout. */
 static PyObject *shot_entry(PyObject *module, PyObject *const *argv, Py_ssize_t argc)
 {
     (void)module;
@@ -440,15 +438,21 @@ static PyObject *shot_entry(PyObject *module, PyObject *const *argv, Py_ssize_t 
     Py_buffer view;
     if (PyObject_GetBuffer(argv[0], &view, PyBUF_WRITABLE) < 0)
         return NULL;
-    if (view.len != (Py_ssize_t)sizeof(struct shot_args)) {
+    /* the header is read only once it is there and aligned; each length is
+       compared with what is left (n_levels as unsigned), so none overflows */
+    const struct shot_args *a = view.buf;
+    uint64_t rest = (uint64_t)view.len - sizeof *a;
+    if ((uintptr_t)view.buf % 8 != 0 || (uint64_t)view.len < sizeof *a
+            || (uint64_t)a->n_levels > rest / 16
+            || (rest - 16 * (uint64_t)a->n_levels) % 72 != 0
+            || (rest - 16 * (uint64_t)a->n_levels) / 72 != a->n_rows) {
         PyBuffer_Release(&view);
-        PyErr_Format(PyExc_ValueError, "shot() needs a buffer of %zu bytes, not %zd",
-                     sizeof(struct shot_args), view.len);
+        PyErr_Format(PyExc_ValueError, "shot() needs an 8-byte aligned block of %zu + "
+                     "16 n_levels + 72 n_rows bytes, not %zd", sizeof *a, view.len);
         return NULL;
     }
-    struct shot_args *a = view.buf;
-    a->shot_index = shot_index;
-    int refused = shot(a);
+    const double *levels = (const double *)(a + 1);
+    int refused = shot(a, levels, (int64_t *)(levels + 2 * a->n_levels), shot_index);
     PyBuffer_Release(&view);
     return PyBool_FromLong(refused);
 }
@@ -456,7 +460,7 @@ static PyObject *shot_entry(PyObject *module, PyObject *const *argv, Py_ssize_t 
 static PyMethodDef window_methods[] = {
     {.ml_name = "shot", .ml_meth = (PyCFunction)(void (*)(void))shot_entry,
      .ml_flags = METH_FASTCALL,
-     .ml_doc = "shot(args, shot_index): run one shot; True when it was refused"},
+     .ml_doc = "shot(block, shot_index): run one shot; True when it was refused"},
     {0},
 };
 

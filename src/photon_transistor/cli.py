@@ -29,14 +29,18 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a preset or a config file")
     run.add_argument("--preset", choices=sorted(PRESET_BUILDERS), help="preset name")
     run.add_argument("--config", help="path to a run configuration file")
-    run.add_argument("--shots", type=int, default=2000,
-                     help="shots per sweep point (default 2000)")
-    run.add_argument("--seed", type=int, default=12345, help="master seed")
+    run.add_argument("--shots", type=int,
+                     help="shots per sweep point (default: the config file's [run] "
+                          "n_shots, or 2000 for a preset)")
+    run.add_argument("--seed", type=int,
+                     help="run seed, from which each point's master seed is derived "
+                          "(default: the config file's [run] master_seed, or 12345 "
+                          "for a preset)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="processes that compute each sweep point, the calling one "
-                          "included, so a point forks at most N-1; affects wall "
-                          "time only, never results")
+                     help="processes that compute each sweep point, at least 1, the "
+                          "calling one included, so a point forks at most N-1; affects "
+                          "wall time only, never results")
 
     cmp_ = sub.add_parser("compare", help="check a summary against reference bands")
     cmp_.add_argument("--summary", required=True, help="path to summary.json")
@@ -63,10 +67,12 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
             if args.config is not None:
-                preset = custom_preset(load_config(args.config))
+                config = load_config(args.config)
+                preset, shots, seed = custom_preset(config), config.n_shots, config.master_seed
             else:
-                preset = get_preset(args.preset)
-            result = run_preset(preset, n_shots=args.shots, seed=args.seed,
+                preset, shots, seed = get_preset(args.preset), 2000, 12345
+            result = run_preset(preset, n_shots=shots if args.shots is None else args.shots,
+                                seed=seed if args.seed is None else args.seed,
                                 out_dir=args.out, workers=args.threads)
             print(f"wrote {result.manifest_path}")
             print(f"wrote {result.sweep_path}")

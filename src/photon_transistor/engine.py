@@ -42,18 +42,16 @@ detuned window's T and S, at the start of the window and after every
 pumping hop, come from a real-arithmetic port of CPython's complex
 operations in the dispersive spectrum.  ``shot`` is the only compiled
 path.  ``_kernel`` builds the kernel and loads it once, as an extension
-module, and packs a configuration into the kernel's one argument layout,
-``struct shot_args``; ``run_shot`` calls the module's entry point
-``shot(args, shot_index)``.
-
-A chunk of shots (``_run_range``) runs into one ``(n, 9)`` int64 block,
-the chunk scratch's rows: the kernel writes each shot's record into its
-row, and the block is cast into the shot table once, column by column,
-so a shot the kernel runs makes no Python object.  ``_run_range`` still
-calls ``run_shot`` once per shot: the benchmark's self-test
-(``perfbench/test_perfbench.py``) counts those calls against the number
-of shots, so the loop over a chunk can move into C only once the
-benchmark counts shots from the tables.
+module, and packs a chunk (``_run_range``) of one configuration's shots
+into one block: ``struct shot_args``, numbers only, the cooperativity
+levels, then the chunk's ``(n, 9)`` int64 rows, which the block owns.
+``run_shot`` calls the module's entry point ``shot(block, shot_index)``,
+which writes only the shot's row; the rows are cast into the shot table
+once, column by column, so a shot the kernel runs makes no Python
+object.  ``_run_range`` still calls ``run_shot`` once per shot: the
+benchmark's self-test (``perfbench/test_perfbench.py``) counts those
+calls against the number of shots, so the loop over a chunk can move
+into C only once the benchmark counts shots from the tables.
 
 The Python engine stays, as the reference the tests compare the kernel
 against and as the fallback: ``evolve_source_window`` is the Python
@@ -432,12 +430,11 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord | 
     the Generator raises its own error.
 
     Without ``_scratch``, returns the shot's ``ShotRecord``.  With a chunk
-    scratch, ``_shot_scratch(config, rows, first)``, writes the record
-    into row ``shot_index - first`` of the chunk's block ``rows`` and
-    returns None: one call of the entry point ``shot(args, shot_index)``
-    stores the index in the packed arguments and writes the row, and only
-    a shot that it refuses makes a ``ShotRecord``, written into the row
-    here.
+    scratch, ``_shot_scratch(config, first, n)``, writes the record into
+    row ``shot_index - first`` of the chunk's rows and returns None: one
+    call of the entry point ``shot(block, shot_index)`` writes the row,
+    and only a shot that it refuses makes a ``ShotRecord``, written into
+    the row here.
     ``_run_range`` still calls this function once per shot, so the
     benchmark's tracer, which counts these calls, sees every shot."""
     if _scratch is None:
@@ -445,11 +442,11 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord | 
             return _run_shot_py(config, shot_index)  # shot_rng refuses it
         # a chunk of one row, read back with real bools
         return ShotRecord(*_run_range((config, shot_index, shot_index + 1))[0].item())
-    shot, args, rows, first, stream = _scratch
+    shot, block, rows, first, stream = _scratch
     # shot raises OverflowError for an index out of range; shot_rng
     # raises its own error for it
     if shot is not None and 0 <= shot_index < 2 ** 64:
-        if not shot(args, shot_index):
+        if not shot(block, shot_index):
             return None
     row = shot_index - first
     if not 0 <= row < len(rows):
@@ -492,14 +489,14 @@ def _dark_mean(rate: float, window: float) -> float:
     return rate * window if rate > 0.0 and window > 0.0 else 0.0
 
 
-def _shot_scratch(config: RunConfig, rows: np.ndarray, first: int) -> tuple:
+def _shot_scratch(config: RunConfig, first: int, n: int) -> tuple:
     """What ``run_shot`` reuses across a chunk of ``config``'s shots
-    ``first`` to ``first + len(rows) - 1``, whose records go into
-    ``rows``, an ``(n, 9)`` int64 block:
-    ``(shot, args, rows, first, None)``, the compiled ``shot``'s entry
-    point with the configuration and the block packed into its
-    arguments, when the kernel is built; otherwise ``(None, None, rows,
-    first, stream)``, with a Philox stream rekeyed per shot.
+    ``first`` to ``first + n - 1``, whose records go into ``rows``, an
+    ``(n, 9)`` int64 array: ``(shot, block, rows, first, None)``, the
+    compiled ``shot``'s entry point and ``_kernel.pack_shot``'s block of
+    the configuration, whose tail is ``rows``, when the kernel is built;
+    otherwise ``(None, None, rows, first, stream)``, with a Philox stream
+    rekeyed per shot.
 
     What depends on the configuration alone is computed here once, with
     the Python engine's expressions: the decay survival probability, the
@@ -509,6 +506,7 @@ def _shot_scratch(config: RunConfig, rows: np.ndarray, first: int) -> tuple:
     kernel = _kernel._window_kernel()
     if kernel is None:
         bitgen = np.random.Philox(key=0)  # rekeyed for every shot
+        rows = np.zeros((n, len(SHOT_DTYPE)), np.int64)
         return None, None, rows, first, (bitgen, np.random.Generator(bitgen))
     cavity, atoms, coop, timing = config.cavity, config.atoms, config.coop, config.timing
     det, delta = config.detection, config.source.detuning
@@ -516,7 +514,7 @@ def _shot_scratch(config: RunConfig, rows: np.ndarray, first: int) -> tuple:
     atom_denominator = 1.0 + 2.0j * delta / atoms.gamma
     x = 2.0 * delta / atoms.gamma
     return *_kernel.pack_shot(
-        kernel, [value for level in coop.levels or () for value in level], rows, first,
+        kernel, [value for level in coop.levels or () for value in level], n, first=first,
         master_seed=config.master_seed, stored_mean=config.gate.stored_mean,
         standing_wave=coop.standing_wave, coop_scale=coop.eta0 * coop.geometric_weight,
         storage_time=timing.total_storage_time,
@@ -533,18 +531,18 @@ def _shot_scratch(config: RunConfig, rows: np.ndarray, first: int) -> tuple:
         source_efficiency=det.source_path_efficiency,
         source_dark_mean=_dark_mean(det.source_dark_rate, timing.source_window),
         gate_efficiency=det.gate_path_efficiency,
-        gate_dark_mean=_dark_mean(det.gate_dark_rate, timing.storage_ramp)), rows, first, None
+        gate_dark_mean=_dark_mean(det.gate_dark_rate, timing.storage_ramp)), first, None
 
 
 def _run_range(args) -> np.recarray:
     """Shot table of the shots ``start`` to ``stop - 1`` of ``config``:
-    ``run_shot`` writes each shot's record into its row of one int64
-    block, which is then cast into the table column by column."""
+    ``run_shot`` writes each shot's record into its row of the chunk's
+    int64 rows, which are then cast into the table column by column."""
     config, start, stop = args
-    rows = np.zeros((stop - start, len(SHOT_DTYPE)), np.int64)
-    scratch = _shot_scratch(config, rows, start)
+    scratch = _shot_scratch(config, start, stop - start)
     for i in range(start, stop):
         run_shot(config, i, scratch)
+    rows = scratch[2]
     table = np.empty(len(rows), SHOT_DTYPE)
     for column, name in enumerate(SHOT_DTYPE.names):
         table[name] = rows[:, column]

@@ -268,6 +268,8 @@ def run_preset(preset: ExperimentPreset, n_shots: int, seed: int,
     ``out_dir``.  Identical (preset, n_shots, seed) produce byte-identical
     files.  Bad input raises before ``out_dir`` is created; a simulation or
     analysis that raises removes the directories this call created."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     configs = point_configs(preset, n_shots, seed)
     out = Path(out_dir)
     created = [d for d in (out, *out.parents) if not d.exists()]

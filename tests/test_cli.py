@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from photon_transistor import cli
 from photon_transistor.config import default_config, load_config, write_config
-from photon_transistor.presets import get_preset
-from photon_transistor.runner import (SchemaError, compare_report,
+from photon_transistor.presets import custom_preset, get_preset
+from photon_transistor.runner import (SchemaError, compare_report, point_configs,
                                       reference_for, run_preset)
 
 
@@ -102,10 +103,27 @@ class TestCliEntrypoints:
         assert rc == 0
         assert (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("flags, shots, seed", [([], 7, 99),
+                                                    (["--shots", "5", "--seed", "3"], 5, 3)])
+    def test_run_with_config_file_takes_its_run_section(self, tmp_path, flags, shots, seed):
+        # the file's n_shots and master_seed, unless --shots or --seed is given
+        config = replace(default_config(), n_shots=7, master_seed=99)
+        write_config(config, tmp_path / "run.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(tmp_path / "run.cfg"), *flags,
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["n_shots_per_point"], manifest["seed"]) == (shots, seed)
+        [expected] = point_configs(custom_preset(config), shots, seed)
+        [point] = manifest["points"]
+        assert point["master_seed"] == expected.master_seed != seed
+        assert point["config"]["n_shots"] == shots
+
     def test_run_requires_exactly_one_source(self, tmp_path):
         assert cli.main(["run", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("flag,value", [("--shots", "0"), ("--seed", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--shots", "0"), ("--seed", "-1"),
+                                            ("--threads", "0")])
     def test_run_bad_input_creates_no_directory(self, tmp_path, flag, value):
         out = tmp_path / "out"
         assert cli.main(["run", "--preset", "g2", flag, value, "--out", str(out)]) == 2

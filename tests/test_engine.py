@@ -269,8 +269,9 @@ def sanitized_child(tmp_path_factory):
     libasan = subprocess.run([_kernel._CC, "-print-file-name=libasan.so"],
                              capture_output=True, text=True, check=True).stdout.strip()
     tmp = tmp_path_factory.mktemp("sanitized")
-    # pymalloc's pools are not poisoned: PYTHONMALLOC=malloc lets the
-    # sanitizer see the bounds of every ctypes buffer
+    # pymalloc's pools are not poisoned: PYTHONMALLOC=malloc makes every
+    # chunk's block a malloc'd bytearray whose exact bounds the sanitizer
+    # sees
     return subprocess.run(
         [sys.executable, "-c", SANITIZER_RUN, os.path.dirname(__file__),
          str(tmp / "cache"), "-fsanitize=address,undefined", "-fno-sanitize-recover=all"],
@@ -329,12 +330,13 @@ def _compiled_window(spin, source, pumping, cavity, atoms, rng):
     Generator rejects, and the updated spin."""
     n_attempt = int(rng.poisson(source.mean_source_photons))
     cfg = base_config(source=source, pumping=pumping, cavity=cavity, atoms=atoms)
-    args = engine._shot_scratch(cfg, np.zeros((1, 9), np.int64), 0)[1]
+    block = engine._shot_scratch(cfg, 0, 1)[1]
     etas = (ctypes.c_double * len(spin.etas))(*spin.etas)
     scatters = (ctypes.c_int64 * 2)()
     window = _kernel_exports().source_window
     window.restype = ctypes.c_int64
-    transmitted = window(rng.bit_generator.ctypes.bit_generator, ctypes.byref(args),
+    transmitted = window(rng.bit_generator.ctypes.bit_generator,
+                         ctypes.byref(_kernel._ShotArgs.from_buffer(block)),
                          ctypes.c_int64(n_attempt), etas, ctypes.c_int64(len(etas)), scatters)
     if scatters[0]:
         spin.n_scatters += scatters[0]
@@ -406,22 +408,23 @@ def _check_random_windows(eta0, levels, standing_wave, stored, photons, detuning
 
 
 def _check_rows_outside_the_block_refused():
-    """The kernel refuses a shot whose row lies outside the attached
-    block and writes nothing; ``run_shot`` raises for it.  The block of
-    shots 10 to 12 sits between two guard rows."""
+    """The kernel refuses a shot whose row lies outside the rows of the
+    block of shots 10 to 12 and writes nothing in the block; ``run_shot``
+    raises for it.  Running every shot of the block writes its rows and
+    leaves its header and levels as packed."""
     cfg = base_config()
-    block = np.full((5, 9), -7, np.int64)
-    scratch = engine._shot_scratch(cfg, block[1:-1], 10)
-    shot, args = scratch[:2]
+    scratch = engine._shot_scratch(cfg, 10, 3)
+    shot, block, rows = scratch[:3]
+    packed = bytes(block)
     for index in (9, 13, 0, 2 ** 64 - 1):
-        assert shot(args, index) is True
+        assert shot(block, index) is True
         with pytest.raises(IndexError, match="outside the chunk of shots 10 to 12"):
             run_shot(cfg, index, scratch)
-    assert (block == -7).all()
+        assert bytes(block) == packed
     for index in (12, 10, 11):
         assert run_shot(cfg, index, scratch) is None
-    assert (block[[0, -1]] == -7).all()
-    assert block[1:-1].tolist() == [list(run_shot(cfg, i)) for i in (10, 11, 12)]
+    assert block[:-rows.nbytes] == packed[:-rows.nbytes]
+    assert rows.tolist() == [list(run_shot(cfg, i)) for i in (10, 11, 12)]
 
 
 def _fig4e_and_detuned_points():
@@ -466,27 +469,48 @@ print(len(before))
 
 def _check_entry_point_refusals():
     """The entry point raises, and writes nothing, for arguments that are
-    not a writeable ``_ShotArgs``-sized buffer and a 64-bit shot index;
-    the block of shots 10 to 12 between two guard rows stays untouched,
-    and so do the packed arguments."""
-    block = np.full((5, 9), -7, np.int64)
-    shot, args = engine._shot_scratch(base_config(), block[1:-1], 10)[:2]
-    packed = bytes(args)
-    size = ctypes.sizeof(args)
-    short = bytearray(packed[:size - 8])  # one word short
-    refusals = [((short, 10), ValueError, f"buffer of {size} bytes, not {size - 8}"),
+    not an 8-byte aligned writeable block exactly as long as its header
+    says and a 64-bit shot index.  Every buffer holds a block of shots 10
+    to 12, or its start, so that shot 10, run, would write its row."""
+    shot, block = engine._shot_scratch(base_config(), 10, 3)[:2]
+    packed = bytes(block)
+    head = ctypes.sizeof(_kernel._ShotArgs)
+
+    def lying(**fields):
+        """The block, its header saying ``fields``."""
+        args = _kernel._ShotArgs.from_buffer_copy(packed)
+        for name, value in fields.items():
+            setattr(args, name, value)
+        return bytearray(bytes(args) + packed[head:])
+
+    shifted = bytearray(len(packed) + 1)
+    shifted[1:] = packed
+    size = "needs an 8-byte aligned block"
+    refusals = [((bytearray(packed[:head - 8]), 10), ValueError, size),
+                # master_seed, first and n_rows, and no n_levels
+                ((bytearray(packed[:24]), 10), ValueError, size),
+                ((bytearray(packed[:-8]), 10), ValueError, size),
+                ((bytearray(packed + bytes(8)), 10), ValueError, size),
+                ((bytearray(packed + bytes(72)), 10), ValueError, size),
+                ((lying(n_rows=4), 10), ValueError, size),
+                ((lying(n_levels=2 ** 62), 10), ValueError, size),
+                # 16 n_levels wraps around to the levels' true length
+                ((lying(n_levels=2 ** 62 + 1), 10), ValueError, size),
+                ((lying(n_levels=-1), 10), ValueError, size),
+                ((memoryview(shifted)[1:], 10), ValueError, size),
                 ((packed, 10), BufferError, "not writable"),
-                (([0] * size, 10), TypeError, "bytes-like object is required"),
-                ((args,), TypeError, "takes 2 arguments"),
-                ((args, 10, 11), TypeError, "takes 2 arguments"),
-                ((args, -1), OverflowError, "negative int"),
-                ((args, 2 ** 64), OverflowError, "int too big")]
+                (([0] * len(packed), 10), TypeError, "bytes-like object is required"),
+                ((block,), TypeError, "takes 2 arguments"),
+                ((block, 10, 11), TypeError, "takes 2 arguments"),
+                ((block, -1), OverflowError, "negative int"),
+                ((block, 2 ** 64), OverflowError, "int too big")]
     for call, error, match in refusals:
+        before = bytes(call[0])
         with pytest.raises(error, match=match):
             shot(*call)
-        assert (block == -7).all()
-        assert bytes(args) == packed
-    assert short == packed[:size - 8]
+        assert bytes(call[0]) == before
+        assert bytes(block) == packed
+    assert shot(block, 10) is False  # the block itself runs
 
 
 class TestWindowKernel:
@@ -1046,10 +1070,10 @@ class TestShotKernel:
     @example(delta=2 * ATOMS.gamma, total=3.3)  # the quotient's second branch
     def test_ported_window_probabilities_equal_python(self, delta, total):
         _require_kernel()
-        args = engine._shot_scratch(base_config(source=unchecked_drive(1.0, delta)),
-                                    np.zeros((1, 9), np.int64), 0)[1]
+        block = engine._shot_scratch(base_config(source=unchecked_drive(1.0, delta)), 0, 1)[1]
         ported = (ctypes.c_double * 2)(total)
-        _kernel_exports().window_probabilities_of(ctypes.byref(args), ported)
+        _kernel_exports().window_probabilities_of(
+            ctypes.byref(_kernel._ShotArgs.from_buffer(block)), ported)
         expected = engine._window_probabilities(delta, total, CAVITY, ATOMS)
         formulas = [f(delta, total, CAVITY.kappa, ATOMS.gamma, ETA_FLOOR)
                     for f in (_real_window_probabilities, _complex_window_probabilities)]
