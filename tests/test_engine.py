@@ -485,19 +485,19 @@ def _check_entry_point_refusals():
 
     shifted = bytearray(len(packed) + 1)
     shifted[1:] = packed
-    size = "needs an 8-byte aligned block"
-    refusals = [((bytearray(packed[:head - 8]), 10), ValueError, size),
+    bad_block = "needs an 8-byte aligned block"
+    refusals = [((bytearray(packed[:head - 8]), 10), ValueError, bad_block),
                 # master_seed, first and n_rows, and no n_levels
-                ((bytearray(packed[:24]), 10), ValueError, size),
-                ((bytearray(packed[:-8]), 10), ValueError, size),
-                ((bytearray(packed + bytes(8)), 10), ValueError, size),
-                ((bytearray(packed + bytes(72)), 10), ValueError, size),
-                ((lying(n_rows=4), 10), ValueError, size),
-                ((lying(n_levels=2 ** 62), 10), ValueError, size),
+                ((bytearray(packed[:24]), 10), ValueError, bad_block),
+                ((bytearray(packed[:-8]), 10), ValueError, bad_block),
+                ((bytearray(packed + bytes(8)), 10), ValueError, bad_block),
+                ((bytearray(packed + bytes(72)), 10), ValueError, bad_block),
+                ((lying(n_rows=4), 10), ValueError, bad_block),
+                ((lying(n_levels=2 ** 62), 10), ValueError, bad_block),
                 # 16 n_levels wraps around to the levels' true length
-                ((lying(n_levels=2 ** 62 + 1), 10), ValueError, size),
-                ((lying(n_levels=-1), 10), ValueError, size),
-                ((memoryview(shifted)[1:], 10), ValueError, size),
+                ((lying(n_levels=2 ** 62 + 1), 10), ValueError, bad_block),
+                ((lying(n_levels=-1), 10), ValueError, bad_block),
+                ((memoryview(shifted)[1:], 10), ValueError, bad_block),
                 ((packed, 10), BufferError, "not writable"),
                 (([0] * len(packed), 10), TypeError, "bytes-like object is required"),
                 ((block,), TypeError, "takes 2 arguments"),
