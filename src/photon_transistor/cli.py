@@ -15,7 +15,8 @@ import argparse
 import sys
 
 from .config import load_config, write_config
-from .presets import PRESET_BUILDERS, custom_preset, get_preset
+from .presets import (PRESET_BUILDERS, PRESET_SEED, PRESET_SHOTS, custom_preset,
+                      get_preset)
 from .runner import compare_report, reference_for, run_preset
 
 
@@ -31,11 +32,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="path to a run configuration file")
     run.add_argument("--shots", type=int,
                      help="shots per sweep point (default: the config file's [run] "
-                          "n_shots, or 2000 for a preset)")
+                          f"n_shots, or {PRESET_SHOTS} for a preset)")
     run.add_argument("--seed", type=int,
                      help="run seed, from which each point's master seed is derived "
-                          "(default: the config file's [run] master_seed, or 12345 "
-                          "for a preset)")
+                          "(default: the config file's [run] master_seed, or "
+                          f"{PRESET_SEED} for a preset)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--threads", type=int, default=1, metavar="N",
                      help="processes that compute each sweep point, at least 1, the "
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
                 config = load_config(args.config)
                 preset, shots, seed = custom_preset(config), config.n_shots, config.master_seed
             else:
-                preset, shots, seed = get_preset(args.preset), 2000, 12345
+                preset, shots, seed = get_preset(args.preset), PRESET_SHOTS, PRESET_SEED
             result = run_preset(preset, n_shots=shots if args.shots is None else args.shots,
                                 seed=seed if args.seed is None else args.seed,
                                 out_dir=args.out, workers=args.threads)

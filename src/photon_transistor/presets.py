@@ -51,6 +51,11 @@ FIG4AB_STRENGTHS = (1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 14.0, 19.0, 25.0,
 FIG4AB_LINEAR_POINTS = 9
 FIG4E_STRENGTHS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.5, 8.0)
 
+# shots per point and run seed of a preset run, also the [run] values of
+# every preset point, so a preset point's config file runs as its preset
+PRESET_SHOTS = 2000
+PRESET_SEED = 12345
+
 
 def constant_cooperativity(eta: float) -> CooperativityModel:
     return CooperativityModel(eta0=DEFAULTS.atoms.eta0, standing_wave=False,
@@ -81,8 +86,8 @@ class ExperimentPreset:
 
 def _base(coop, gate, timing, source, pumping, detection, retrieval_mode=False):
     return replace(DEFAULTS, coop=coop, timing=timing, gate=gate, source=source,
-                   pumping=pumping, detection=detection, master_seed=0,
-                   retrieval_mode=retrieval_mode)
+                   pumping=pumping, detection=detection, n_shots=PRESET_SHOTS,
+                   master_seed=PRESET_SEED, retrieval_mode=retrieval_mode)
 
 
 def _gate_for_stored(stored_mean: float, retrieval_efficiency: float = 1.0) -> GatePulse:

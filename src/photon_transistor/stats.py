@@ -8,21 +8,25 @@ uncertainties.  Estimators read the columns of a shot table
 Uncertainties are bootstrap percentile intervals (1000 resamples by
 default) except for spectra, which carry plain standard errors of the
 mean.  ``bootstrap_sums`` draws every bootstrap as multinomial counts over
-the distinct per-shot rows; replicates are ratios of the resampled sums
-(``gain`` and ``retrieval_curve`` take the same ratios of the full-sample
-sums as point estimate).  ``retrieval_curve`` fits the decays of all
-its replicates in one batched Levenberg-Marquardt solve (``_fit_decays``)
-started at the point fit; the point fit, ``fit_exponential``, is the
-same solver on one row.  An undefined replicate (an emptied component, a
-fit that ``fit_exponential`` would reject or that has not converged within
-the iteration cap) is NaN or infinite, is dropped by
-``_percentile_errors`` and is counted in ``fallbacks``.  Every high/low
-component split is built by ``_component_sums`` and averaged by
-``_component_means``, for point estimates and replicates alike: an empty
-component's mean is NaN (0/0), the extinction factor of a dark low
-component inf (x/0).  Splits use the simulation ground truth (stored
-excitation number) or a threshold on the detected counts, as a real
-bimodal histogram is cut.
+the distinct per-shot rows.  For n shots, k columns and d distinct rows
+its working memory is the d x k distinct rows (at most one copy of the
+columns, which estimators build once as float64), a few int64 arrays of
+length n and a count block of at most max(``_BOOTSTRAP_BLOCK``, d)
+counts, whatever the number of resamples.  Replicates are ratios of the
+resampled sums (``gain`` and ``retrieval_curve`` take the same ratios of
+the full-sample sums as point estimate).  ``retrieval_curve`` fits the
+decays of all its replicates in one batched Levenberg-Marquardt solve
+(``_fit_decays``) started at the point fit; the point fit,
+``fit_exponential``, is the same solver on one row.  An undefined
+replicate (an emptied component, a fit that ``fit_exponential`` would
+reject or that has not converged within the iteration cap) is NaN or
+infinite, is dropped by ``_percentile_errors`` and is counted in
+``fallbacks``.  Every high/low component split is built by
+``_component_sums`` and averaged by ``_component_means``, for point
+estimates and replicates alike: an empty component's mean is NaN (0/0),
+the extinction factor of a dark low component inf (x/0).  Splits use the
+simulation ground truth (stored excitation number) or a threshold on the
+detected counts, as a real bimodal histogram is cut.
 ``_mean_sem`` is every plain mean of counts with its standard error.
 """
 
@@ -37,7 +41,7 @@ import numpy as np
 from .engine import ShotRecord, shot_table
 
 DEFAULT_RESAMPLES = 1000
-_BOOTSTRAP_BLOCK = 1 << 18
+_BOOTSTRAP_BLOCK = 1 << 15
 _FIT_ITERATIONS = 100   # cap of every exponential fit
 _FIT_STEP_TOL = 1e-12   # relative step at which an exponential fit has converged
 
@@ -54,13 +58,16 @@ def bootstrap_sums(columns, resamples: int, rng: np.random.Generator) -> np.ndar
     ``columns`` (shape (n_shots, k)), shape (resamples, k).  Resampling
     with replacement draws each distinct row a multinomial number of
     times, so counts are drawn over the distinct rows only; blocks of at
-    most ``_BOOTSTRAP_BLOCK`` counts bound memory without changing them."""
+    most ``_BOOTSTRAP_BLOCK`` counts (one row of counts when there are
+    more distinct rows) bound memory without changing them.  A
+    C-contiguous float64 ``columns`` is used without a copy."""
     cols = np.ascontiguousarray(columns, dtype=float)
     n = len(cols)
     rows, freq = _distinct_rows(cols)
+    p = freq / n
     block = max(1, _BOOTSTRAP_BLOCK // len(rows))
     return np.concatenate([
-        rng.multinomial(n, freq / n, size=min(block, resamples - start)) @ rows
+        rng.multinomial(n, p, size=min(block, resamples - start)) @ rows
         for start in range(0, resamples, block)])
 
 
@@ -69,14 +76,17 @@ def _distinct_rows(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (n, k), and how often each occurs.  Rows are compared as raw bytes and
     come in the order of their bytes, byte 0 first: the order of
     ``np.unique`` on the rows' void view, whose sort is about 1.6x slower
-    than this ``np.lexsort`` of the bytes."""
-    raw = cols.view(np.uint8).reshape(len(cols), -1)
-    order = np.lexsort(raw.T[::-1])  # lexsort's primary key is its last
-    ordered = raw[order]
-    new = np.ones(len(cols), bool)  # whether a sorted row differs from the one before
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    than this ``np.lexsort`` of the bytes.  A row starts a new one where
+    any of its 64-bit words differs from the sorted row before, compared
+    one column at a time, so no n x 8k byte matrix is built."""
+    order = np.lexsort(cols.view(np.uint8).reshape(len(cols), -1).T[::-1])
+    new = np.zeros(len(cols), bool)  # whether a sorted row differs from the one before
+    new[:1] = True
+    for words in cols.view(np.uint64).T:
+        sorted_words = words[order]
+        new[1:] |= sorted_words[1:] != sorted_words[:-1]
     starts = np.flatnonzero(new)
-    return cols[order[starts]], np.diff(np.r_[starts, len(cols)])
+    return cols[order[starts]], np.diff(starts, append=len(cols))
 
 
 def _percentile_errors(replicates, centers) -> tuple[list[tuple[float, float]], int]:
@@ -185,11 +195,29 @@ class TransmissionHistogram:
         raise KeyError(f"no column at detuning {detuning}")
 
 
+def _product_columns(n: int, products) -> np.ndarray:
+    """One C-contiguous float64 array of shape (n, len(products)), column
+    j holding mask * value for the j-th (mask, value) of ``products``, or
+    the mask itself for a value of None.  ``np.multiply`` writes each
+    product into its column in the dtype ``mask * value`` has, so the
+    array has the bytes of ``np.column_stack`` of the products cast to
+    float (NaN * 0 is NaN, 0 * -x is -0.0) without building that stack."""
+    out = np.empty((n, len(products)))
+    for column, (mask, value) in zip(out.T, products):
+        if value is None:
+            column[:] = mask
+        else:
+            np.multiply(mask, value, out=column)
+    return out
+
+
 def _component_sums(hi, *values) -> np.ndarray:
     """Per-shot columns (hi, lo, hi*v, lo*v, ...) of the split ``hi`` (lo
-    = ~hi); their sums are each component's size and total of each value."""
+    = ~hi), as one float64 array; their sums are each component's size
+    and total of each value."""
     lo = ~hi
-    return np.column_stack([hi, lo, *(c for v in values for c in (hi * v, lo * v))])
+    return _product_columns(len(hi), [(hi, None), (lo, None),
+                                      *((m, v) for v in values for m in (hi, lo))])
 
 
 def _component_means(sums) -> tuple[np.ndarray, np.ndarray]:
@@ -393,8 +421,9 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
             raise ValueError(f"point {i} has no zero-excitation shots to measure strength")
         if not sel.any():
             raise ValueError(f"point {i} has no shot in its retrieval selection")
-        cols = np.column_stack([empty, empty * table.source_transmitted_intracavity,
-                                empty * table.source_transmitted_outside, sel, sel * retr])
+        cols = _product_columns(len(table), [
+            (empty, None), (empty, table.source_transmitted_intracavity),
+            (empty, table.source_transmitted_outside), (sel, None), (sel, retr)])
         sums.append(np.vstack([cols.sum(axis=0), bootstrap_sums(cols, resamples, rng)]))
     # each (1 + resamples, points), row 0 the full sample as in gain
     n_e, in_e, out_e, n_sel, r_sel = np.moveaxis(np.stack(sums, axis=1), -1, 0)

@@ -3,6 +3,7 @@ of every estimator that uses it, their fallback counts, and property
 tests of the estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,14 +71,36 @@ class TestBootstrapSums:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_blocks_do_not_change_draws(self, monkeypatch):
+    @pytest.mark.parametrize("n_rows, resamples, block", [
+        (20_000, 30, 1),     # one row of counts fills a block
+        (300, 250, 109),     # 250 resamples in blocks of 109, 109 and 32
+        (40_000, 20, 1)],    # more distinct rows than counts in a block
+        ids=["one-row-block", "uneven-blocks", "rows-outnumber-block"])
+    def test_blocks_do_not_change_draws(self, monkeypatch, n_rows, resamples, block):
         # all rows distinct, the case where blocking bounds memory; integer
         # valued like shot counts, so the sums are exact in any order
-        cols = np.random.default_rng(7).integers(0, 10**6, (300, 2)).astype(float)
-        whole = stats.bootstrap_sums(cols, 40, np.random.default_rng(8))
-        monkeypatch.setattr(stats, "_BOOTSTRAP_BLOCK", 900)
-        blocked = stats.bootstrap_sums(cols, 40, np.random.default_rng(8))
+        cols = np.random.default_rng(7).integers(0, 10**9, (n_rows, 2)).astype(float)
+        assert len(stats._distinct_rows(cols)[0]) == n_rows
+        assert max(1, stats._BOOTSTRAP_BLOCK // n_rows) == block
+        blocked = stats.bootstrap_sums(cols, resamples, np.random.default_rng(8))
+        monkeypatch.setattr(stats, "_BOOTSTRAP_BLOCK", resamples * n_rows)
+        whole = stats.bootstrap_sums(cols, resamples, np.random.default_rng(8))
         assert np.array_equal(whole, blocked)
+
+    def test_working_memory_holds_one_copy_of_the_rows(self):
+        # 100k distinct rows of 6 floats (8nk = 4.8 MB): the distinct rows,
+        # a few n-long index and count arrays and one row of counts per
+        # block stay under 2 * 8nk plus 1 MiB; an n x 8k byte matrix of the
+        # sorted rows beside its n x 8k comparison does not (12.9 MB)
+        n, k = 100_000, 6
+        cols = np.random.default_rng(12).random((n, k))
+        tracemalloc.start()
+        try:
+            stats.bootstrap_sums(cols, 1000, np.random.default_rng(13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * k + (1 << 20)
 
     def test_empty_component_frequency(self):
         # 2 of 40 shots in one component: a resample misses both with
@@ -112,6 +135,26 @@ def test_distinct_rows_equal_void_unique(matrix):
     # the keys and their order, bit for bit, and the counts
     assert rows.shape == ref_rows.shape and rows.tobytes() == ref_rows.tobytes()
     assert freq.dtype == ref_freq.dtype and freq.tolist() == ref_freq.tolist()
+
+
+def _int_or_float_column(n):
+    ints = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n)
+    floats = st.lists(EDGE_FLOATS | st.floats(), min_size=n, max_size=n)
+    return ints.map(lambda v: np.array(v, np.int64)) | floats.map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+    st.lists(_int_or_float_column(n), max_size=3))))
+def test_component_sums_equal_the_stacked_products(split):
+    hi, values = split
+    with np.errstate(invalid="ignore"):  # inf * 0
+        cols = stats._component_sums(hi, *values)
+        ref = np.column_stack([hi, ~hi, *(c for v in values for c in (hi * v, ~hi * v))])
+    # bit for bit, signed zeros and NaN included, and used by the bootstrap as it is
+    assert cols.dtype == np.float64 and cols.tobytes() == ref.astype(float).tobytes()
+    assert np.ascontiguousarray(cols, dtype=float) is cols
 
 
 class TestPointEstimatesPinned:

@@ -247,6 +247,16 @@ class TestCliEntrypoints:
         cfg = load_config(out)
         assert abs(cfg.gate.stored_mean - 0.5) < 1e-12
 
+    def test_write_config_runs_as_its_preset(self, tmp_path):
+        # the written [run] section holds the shots and run seed of `run --preset`
+        path = tmp_path / "g2.cfg"
+        assert cli.main(["write-config", "--preset", "g2", "--out", str(path)]) == 0
+        assert cli.main(["run", "--preset", "g2", "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        config = load_config(path)
+        assert (config.n_shots, config.master_seed) == (manifest["n_shots_per_point"],
+                                                        manifest["seed"])
+
     def test_write_config_bad_point(self, tmp_path):
         rc = cli.main(["write-config", "--preset", "g2", "--point", "5",
                        "--out", str(tmp_path / "x.cfg")])
