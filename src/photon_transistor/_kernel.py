@@ -39,7 +39,8 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 def _load_kernel():
     """``_window.c`` compiled and loaded as an extension module, whose
     entry point ``shot`` runs every compiled shot; compiled only when no
-    library of this source, numpy version and interpreter is cached yet.
+    library of this source, build command, ``libnpyrandom.a`` and
+    interpreter is cached yet.
     The module is registered nowhere, in ``sys.modules`` or on any module
     of this package.
 
@@ -53,10 +54,15 @@ def _load_kernel():
     import hashlib
     import importlib.util
     import sysconfig
+    npyrandom = os.path.join(os.path.dirname(np.__file__), "random", "lib",
+                             "libnpyrandom.a")
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
+    with open(npyrandom, "rb") as fh:
+        linked = fh.read()
     tag = sys.implementation.cache_tag  # names the library, so not hashed
-    key = hashlib.sha256(b"\0".join((source, np.__version__.encode())))
+    key = hashlib.sha256(b"\0".join((source, np.__version__.encode(), linked,
+                                     "\0".join((_CC, *_CFLAGS)).encode())))
     try:
         os.makedirs(_KERNEL_CACHE, exist_ok=True)
         private = not os.access(_KERNEL_CACHE, os.W_OK)
@@ -71,8 +77,7 @@ def _load_kernel():
             subprocess.run(
                 [_CC, *_CFLAGS, "-I", np.get_include(),
                  "-I", sysconfig.get_paths()["include"], "-o", output, _KERNEL_SOURCE,
-                 os.path.join(os.path.dirname(np.__file__), "random", "lib",
-                              "libnpyrandom.a"), "-lm"],
+                 npyrandom, "-lm"],
                 check=True, capture_output=True)
             os.replace(output, library)
             for old in glob.glob(os.path.join(glob.escape(cache), f"_window.{tag}.*.so")):

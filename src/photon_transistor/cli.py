@@ -72,9 +72,15 @@ def main(argv=None) -> int:
                 preset, shots, seed = custom_preset(config), config.n_shots, config.master_seed
             else:
                 preset, shots, seed = get_preset(args.preset), PRESET_SHOTS, PRESET_SEED
-            result = run_preset(preset, n_shots=shots if args.shots is None else args.shots,
-                                seed=seed if args.seed is None else args.seed,
-                                out_dir=args.out, workers=args.threads)
+            shots = shots if args.shots is None else args.shots
+            try:
+                result = run_preset(preset, n_shots=shots,
+                                    seed=seed if args.seed is None else args.seed,
+                                    out_dir=args.out, workers=args.threads)
+            except MemoryError:  # run_preset has removed what it created
+                print(f"error: not enough memory to run {shots} shots per sweep point",
+                      file=sys.stderr)
+                return 2
             print(f"wrote {result.manifest_path}")
             print(f"wrote {result.sweep_path}")
             print(f"wrote {result.summary_path}")

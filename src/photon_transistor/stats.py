@@ -7,12 +7,16 @@ uncertainties.  Estimators read the columns of a shot table
 
 Uncertainties are bootstrap percentile intervals (1000 resamples by
 default) except for spectra, which carry plain standard errors of the
-mean.  ``bootstrap_sums`` draws every bootstrap as multinomial counts over
-the distinct per-shot rows.  For n shots, k columns and d distinct rows
-its working memory is the d x k distinct rows (at most one copy of the
-columns, which estimators build once as float64), a few int64 arrays of
-length n and a count block of at most max(``_BOOTSTRAP_BLOCK``, d)
-counts, whatever the number of resamples.  Replicates are ratios of the
+mean.  Every bootstrap is drawn by ``_draw_sums`` as multinomial counts
+over the distinct per-shot rows, in the order of their bytes.  ``gain``,
+``retrieval_curve``, ``extinction_factor_errors`` and ``build_histogram``
+find those rows from the integer shot fields their columns are built of
+(``_counted_rows``): the fields' distinct combinations are counted by one
+int64 key per shot, and only their d rows are built and sorted, so for n
+shots and k columns the working memory is O(n) int64 plus d x k rows and a
+count block of at most max(``_BOOTSTRAP_BLOCK``, d) counts, whatever the
+number of resamples.  ``bootstrap_sums`` takes float columns (``g2_cross``)
+and sorts their n rows.  Replicates are ratios of the
 resampled sums (``gain`` and ``retrieval_curve`` take the same ratios of
 the full-sample sums as point estimate).  ``retrieval_curve`` fits the
 decays of all its replicates in one batched Levenberg-Marquardt solve
@@ -42,6 +46,7 @@ from .engine import ShotRecord, shot_table
 
 DEFAULT_RESAMPLES = 1000
 _BOOTSTRAP_BLOCK = 1 << 15
+_KEY_LIMIT = 1 << 62    # largest radix of a key of shot fields
 _FIT_ITERATIONS = 100   # cap of every exponential fit
 _FIT_STEP_TOL = 1e-12   # relative step at which an exponential fit has converged
 
@@ -55,15 +60,23 @@ class FitError(RuntimeError):
 
 def bootstrap_sums(columns, resamples: int, rng: np.random.Generator) -> np.ndarray:
     """Column sums of ``resamples`` bootstrap resamples of the rows of
-    ``columns`` (shape (n_shots, k)), shape (resamples, k).  Resampling
-    with replacement draws each distinct row a multinomial number of
-    times, so counts are drawn over the distinct rows only; blocks of at
-    most ``_BOOTSTRAP_BLOCK`` counts (one row of counts when there are
-    more distinct rows) bound memory without changing them.  A
-    C-contiguous float64 ``columns`` is used without a copy."""
+    ``columns`` (shape (n_shots, k)), shape (resamples, k): ``_draw_sums``
+    over the distinct rows of ``columns``.  A C-contiguous float64
+    ``columns`` is used without a copy."""
     cols = np.ascontiguousarray(columns, dtype=float)
-    n = len(cols)
-    rows, freq = _distinct_rows(cols)
+    return _draw_sums(*_distinct_rows(cols), len(cols), resamples, rng)
+
+
+def _draw_sums(rows, freq, n: int, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """Column sums of ``resamples`` bootstrap resamples of n shots whose
+    distinct rows are ``rows`` (shape (d, k)), row i occurring ``freq[i]``
+    times.  Resampling with replacement draws each distinct row a
+    multinomial number of times, so counts are drawn over the distinct
+    rows only; blocks of at most ``_BOOTSTRAP_BLOCK`` counts (one row of
+    counts when there are more distinct rows) bound memory without
+    changing them."""
+    if resamples < 1:
+        raise ValueError(f"resamples must be at least 1, not {resamples}")
     p = freq / n
     block = max(1, _BOOTSTRAP_BLOCK // len(rows))
     return np.concatenate([
@@ -71,9 +84,10 @@ def bootstrap_sums(columns, resamples: int, rng: np.random.Generator) -> np.ndar
         for start in range(0, resamples, block)])
 
 
-def _distinct_rows(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(cols: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``cols``, a C-contiguous float array of shape
-    (n, k), and how often each occurs.  Rows are compared as raw bytes and
+    (n, k), and how often each occurs: the number of its copies, or the
+    sum of their ``weights`` when given.  Rows are compared as raw bytes and
     come in the order of their bytes, byte 0 first: the order of
     ``np.unique`` on the rows' void view, whose sort is about 1.6x slower
     than this ``np.lexsort`` of the bytes.  A row starts a new one where
@@ -86,7 +100,73 @@ def _distinct_rows(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sorted_words = words[order]
         new[1:] |= sorted_words[1:] != sorted_words[:-1]
     starts = np.flatnonzero(new)
-    return cols[order[starts]], np.diff(starts, append=len(cols))
+    freq = (np.diff(starts, append=len(cols)) if weights is None
+            else np.add.reduceat(weights[order], starts))
+    return cols[order[starts]], freq
+
+
+def _field_values(fields) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct combinations of the integer or bool shot ``fields``
+    (arrays of n each), one array of d values per field in its own dtype,
+    in the order of their keys, and how often each combination occurs.
+    Each field minus its minimum is a digit of one int64 mixed-radix key.
+    Before the radix would pass ``_KEY_LIMIT`` the key is replaced by its
+    dense ``np.unique`` codes (and a field wider than any key by its own
+    codes).  Keys are counted by ``np.bincount`` while the radix is at
+    most 2n and by ``np.unique`` above that, where the count array would
+    be mostly empty and slower to scan than n keys are to sort."""
+    n = len(fields[0])
+    key, radix = np.zeros(n, np.int64), 1
+    prefix = []  # the fields in the key's dense codes, indexed by code
+    digits = []  # (offset or distinct values, stride, span, dtype) of later fields
+
+    def decode(keys):
+        return [*(values[keys % len(values)] for values in prefix),
+                *(lo[keys // stride % span] if isinstance(lo, np.ndarray)
+                  else (keys // stride % span + lo).astype(dtype)
+                  for lo, stride, span, dtype in digits)]
+
+    for field in fields:
+        lo = int(field.min())
+        span = int(field.max()) - lo + 1
+        if radix * span > _KEY_LIMIT:
+            present, key = np.unique(key, return_inverse=True)
+            prefix, digits = decode(present), []
+            radix = len(present)
+        if radix * span > _KEY_LIMIT:
+            lo, digit = np.unique(field, return_inverse=True)
+            span = len(lo)
+        else:
+            digit = field.astype(np.int64) - lo
+        key += digit * radix
+        digits.append((lo, radix, span, field.dtype))
+        radix *= span
+    if radix <= 2 * n:
+        counts = np.bincount(key)
+        present = np.flatnonzero(counts)
+        freq = counts[present]
+    else:
+        present, freq = np.unique(key, return_counts=True)
+    return decode(present), freq
+
+
+def _counted_sums(columns, *fields) -> np.ndarray:
+    """``columns(*fields).sum(axis=0)`` from ``_counted_rows``."""
+    rows, freq = _counted_rows(columns, *fields)
+    return freq @ rows
+
+
+def _counted_rows(columns, *fields) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct_rows(columns(*fields))`` without building or sorting its
+    n rows: ``columns`` builds one float row per element of the integer or
+    bool shot ``fields``, and is called on their d distinct combinations
+    only, whose rows are then merged by ``_distinct_rows`` weighted by how
+    often each combination occurs.  The point sums are ``freq @ rows``:
+    equal to ``columns(*fields).sum(axis=0)`` byte for byte while every
+    column is integer-valued and every sum is below 2^53, which shot
+    counts are, so every float operation is exact."""
+    values, freq = _field_values(fields)
+    return _distinct_rows(columns(*values), freq)
 
 
 def _percentile_errors(replicates, centers) -> tuple[list[tuple[float, float]], int]:
@@ -286,11 +366,11 @@ def build_histogram(groups: Mapping[float, Sequence[ShotRecord]],
         hist = np.bincount(clipped, minlength=bins.size).astype(float)
         rates[i] = hist / hist.sum()
         hi = table.n_stored == 0
-        hm, lm, factor = _extinction(_component_sums(hi, counts).sum(axis=0))
+        hm, lm, factor = _extinction(_counted_sums(_component_sums, hi, counts))
         peaks = [np.argmax(np.bincount(clipped[sel], minlength=bins.size))
                  if sel.any() else math.nan for sel in (hi, ~hi)]
         thr = _valley_threshold(rates[i])
-        thr_factor = _extinction(_component_sums(counts > thr, counts).sum(axis=0))[2]
+        thr_factor = _extinction(_counted_sums(_component_sums, counts > thr, counts))[2]
         columns.append((hm, lm, *peaks, factor, thr, thr_factor))
     # one tuple of floats per field, high_mean to threshold_extinction_factor
     return TransmissionHistogram(tuple(detunings), tuple(int(b) for b in bins), rates,
@@ -304,8 +384,9 @@ def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
     factor of ``records``, as (err_low, err_high, skipped).  Replicates with
     an empty component or a dark low component are undefined and skipped."""
     table = shot_table(records)
-    cols = _component_sums(table.n_stored == 0, table.detected_source)
-    ratios = _extinction(bootstrap_sums(cols, resamples, np.random.default_rng(seed)))[2]
+    rows, freq = _counted_rows(_component_sums, table.n_stored == 0, table.detected_source)
+    ratios = _extinction(_draw_sums(rows, freq, len(table), resamples,
+                                    np.random.default_rng(seed)))[2]
     [errors], skipped = _percentile_errors(ratios[:, None], [factor])
     return (*errors, skipped)
 
@@ -363,11 +444,12 @@ def gain(records: Sequence[ShotRecord], labels: str = "truth",
     if hi.all() or not hi.any():
         raise ValueError("both histogram components must be populated")
 
-    cols = _component_sums(hi, table.source_transmitted_intracavity,
-                           table.source_transmitted_outside)
+    rows, freq = _counted_rows(_component_sums, hi, table.source_transmitted_intracavity,
+                               table.source_transmitted_outside)
     # row 0: the full sample, for the point estimate; then the replicates
     high, low = _component_means(np.vstack(
-        [cols.sum(axis=0), bootstrap_sums(cols, resamples, np.random.default_rng(seed))]))
+        [freq @ rows, _draw_sums(rows, freq, len(table), resamples,
+                                 np.random.default_rng(seed))]))
     boots = high - low
     g_in, g_out = boots[0].tolist()
     ((el, eh), (ol, oh)), fallbacks = _percentile_errors(boots[1:], (g_in, g_out))
@@ -394,6 +476,15 @@ class RetrievalCurve:
     fallbacks: int = 0
 
 
+def _retrieval_columns(empty, intra, outside, sel, retrieved) -> np.ndarray:
+    """Per-shot columns (empty, empty*intra, empty*outside, sel,
+    sel*retrieved) of ``retrieval_curve``: the size and transmitted totals
+    of the zero-excitation shots, and the size and retrievals of the
+    selection."""
+    return _product_columns(len(empty), [(empty, None), (empty, intra), (empty, outside),
+                                         (sel, None), (sel, retrieved)])
+
+
 def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
                     condition_single: bool = False,
                     resamples: int = DEFAULT_RESAMPLES,
@@ -414,17 +505,18 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
     sums = []
     for i, records in enumerate(point_records):
         table = shot_table(records)
-        stored, retr = table.n_stored, table.retrieved
+        stored = table.n_stored
         empty = stored == 0
         sel = stored == 1 if condition_single else np.ones_like(empty)
         if not empty.any():
             raise ValueError(f"point {i} has no zero-excitation shots to measure strength")
         if not sel.any():
             raise ValueError(f"point {i} has no shot in its retrieval selection")
-        cols = _product_columns(len(table), [
-            (empty, None), (empty, table.source_transmitted_intracavity),
-            (empty, table.source_transmitted_outside), (sel, None), (sel, retr)])
-        sums.append(np.vstack([cols.sum(axis=0), bootstrap_sums(cols, resamples, rng)]))
+        rows, freq = _counted_rows(_retrieval_columns, empty,
+                                   table.source_transmitted_intracavity,
+                                   table.source_transmitted_outside, sel, table.retrieved)
+        draws = _draw_sums(rows, freq, len(table), resamples, rng)
+        sums.append(np.vstack([freq @ rows, draws]))
     # each (1 + resamples, points), row 0 the full sample as in gain
     n_e, in_e, out_e, n_sel, r_sel = np.moveaxis(np.stack(sums, axis=1), -1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photon_transistor import stats
@@ -102,6 +102,13 @@ class TestBootstrapSums:
             tracemalloc.stop()
         assert peak < 2 * 8 * n * k + (1 << 20)
 
+    @pytest.mark.parametrize("resamples", [0, -1])
+    def test_no_resample_is_refused(self, records, resamples):
+        with pytest.raises(ValueError, match=f"resamples must be at least 1, not {resamples}"):
+            stats.gain(records, resamples=resamples)
+        with pytest.raises(ValueError, match="resamples must be at least 1"):
+            stats.bootstrap_sums(self.COLUMNS, resamples, np.random.default_rng(0))
+
     def test_empty_component_frequency(self):
         # 2 of 40 shots in one component: a resample misses both with
         # probability (38/40)**40; 2000 replicates put the count within
@@ -155,6 +162,134 @@ def test_component_sums_equal_the_stacked_products(split):
     # bit for bit, signed zeros and NaN included, and used by the bootstrap as it is
     assert cols.dtype == np.float64 and cols.tobytes() == ref.astype(float).tobytes()
     assert np.ascontiguousarray(cols, dtype=float) is cols
+
+
+def _sorted_columns(columns, *fields):
+    """The n-row path the counted rows replace, kept as their oracle: every
+    shot's row built, the rows byte-sorted into distinct rows and counts,
+    and the columns summed."""
+    cols = columns(*fields)
+    return (*stats._distinct_rows(cols), cols.sum(axis=0))
+
+
+def _int_field(n):
+    """n int64 shot values: all equal, all distinct, small counts, or
+    spread about an offset near 0 or +-2^31 (spans of up to 2^33)."""
+    offsets = st.sampled_from([0, 2 ** 31 - 1, -2 ** 31, 2 ** 31, -2 ** 31 - 5])
+    spread = st.sampled_from([1, 3, 1000, 2 ** 32])
+    values = (st.integers(-5, 5).map(lambda v: [v] * n)
+              | st.permutations(range(n))
+              | st.lists(st.integers(0, 6), min_size=n, max_size=n)
+              | st.tuples(offsets, spread).flatmap(lambda o: st.lists(
+                  st.integers(o[0] - o[1], o[0] + o[1]), min_size=n, max_size=n)))
+    return values.map(lambda v: np.array(v, np.int64))
+
+
+def _mask(n):
+    return st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+
+
+# (columns, fields) as estimators key them: gain's and the histogram's
+# component split, and retrieval_curve's columns, whose rows merge
+FIELD_TABLES = st.integers(1, 40).flatmap(lambda n: st.one_of(
+    st.tuples(st.just(stats._component_sums),
+              st.tuples(_mask(n), st.lists(_int_field(n), max_size=3)).map(
+                  lambda f: (f[0], *f[1]))),
+    st.tuples(st.just(stats._retrieval_columns),
+              st.tuples(_mask(n), _int_field(n), _int_field(n), _mask(n), _mask(n)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FIELD_TABLES)
+@example((stats._component_sums, (np.array([True]), np.array([2 ** 31]))))  # one shot
+@example((stats._component_sums, (np.arange(5) < 2, *np.array(  # spans past int64
+    [[-2 ** 31 - 1, 2 ** 31, 0, 1, 2 ** 31]] * 3) * [[1], [-1], [1]])))
+def test_counted_rows_equal_the_sorted_columns(table):
+    columns, fields = table
+    rows, freq = stats._counted_rows(columns, *fields)
+    ref_rows, ref_freq, ref_sums = _sorted_columns(columns, *fields)
+    # the categories and their order, bit for bit, and the counts
+    assert rows.shape == ref_rows.shape and rows.tobytes() == ref_rows.tobytes()
+    assert freq.dtype == ref_freq.dtype and freq.tolist() == ref_freq.tolist()
+    assert (freq @ rows).tobytes() == ref_sums.tobytes()
+    # so every draw
+    n = len(fields[0])
+    assert stats._draw_sums(rows, freq, n, 3, np.random.default_rng(1)).tobytes() == \
+        stats.bootstrap_sums(columns(*fields), 3, np.random.default_rng(1)).tobytes()
+
+
+@pytest.mark.parametrize("fields, counted_by", [
+    # radix 2 * 10 for 50 shots: counted in a count array
+    ([np.arange(50) % 2 == 0, np.arange(50) % 10], {"bincount"}),
+    # radix 2 * 10^6 for 50 shots: the keys are sorted
+    ([np.arange(50) % 2 == 0, np.arange(50) * 20_000], {"unique"}),
+    # spans of 2 and three of 2^32 + 1: the key is re-densified before each
+    # of the last two fields
+    ([np.arange(6) % 2 == 1, *(np.array([-2 ** 31, 2 ** 31, 0, 7, -2 ** 31, 2 ** 31]) * s
+                               for s in (1, -1, 1))],
+     {"unique", "re-densify"}),
+    # a span of 2^63 after the mask's 2: the key is re-densified, the field
+    # still passes 2^62 and is keyed by its own codes, radix 2 * 3
+    ([np.array([True, False, True]), np.array([-2 ** 62, 2 ** 62, 1])],
+     {"re-densify", "own codes", "bincount"})],
+    ids=["bincount", "unique", "re-densify", "own-codes"])
+def test_key_branches(monkeypatch, fields, counted_by):
+    calls = []
+    unique, bincount = np.unique, np.bincount
+
+    def spy_unique(values, **kwargs):
+        calls.append("unique" if "return_counts" in kwargs else
+                     "own codes" if any(values is f for f in fields) else "re-densify")
+        return unique(values, **kwargs)
+
+    def spy_bincount(values):
+        calls.append("bincount")
+        return bincount(values)
+
+    monkeypatch.setattr(np, "unique", spy_unique)
+    monkeypatch.setattr(np, "bincount", spy_bincount)
+    rows, freq = stats._counted_rows(stats._component_sums, *fields)
+    monkeypatch.undo()
+    assert set(calls) == counted_by
+    ref_rows, ref_freq, ref_sums = _sorted_columns(stats._component_sums, *fields)
+    assert rows.tobytes() == ref_rows.tobytes() and freq.tolist() == ref_freq.tolist()
+    if "own codes" not in counted_by:  # 2^62 sums are not exact
+        assert (freq @ rows).tobytes() == ref_sums.tobytes()
+
+
+def test_estimators_sort_distinct_rows_only(monkeypatch, records, decay_points):
+    # the byte sort sees one row per distinct combination of the fields an
+    # estimator reads, never one per shot
+    sorted_rows = []
+    distinct_rows = stats._distinct_rows
+
+    def recording(cols, *weights):
+        sorted_rows.append(len(cols))
+        return distinct_rows(cols, *weights)
+
+    def combinations(*fields):
+        return len(np.unique(np.column_stack(fields), axis=0))
+
+    monkeypatch.setattr(stats, "_distinct_rows", recording)
+    hi, counts = records.n_stored == 0, records.detected_source
+    intra, outside = records.source_transmitted_intracavity, records.source_transmitted_outside
+    stats.gain(records, resamples=5)
+    stats.gain(records, labels="threshold", threshold=3.5, resamples=5)
+    hist = stats.build_histogram({0.0: records})
+    stats.extinction_factor_errors(records, hist.extinction_factor[0], resamples=5)
+    assert sorted_rows == [combinations(hi, intra, outside),
+                           combinations(counts > 3.5, intra, outside),
+                           combinations(hi, counts),
+                           combinations(counts > hist.threshold[0], counts),
+                           combinations(hi, counts)]
+    assert max(sorted_rows) < len(records)
+    sorted_rows.clear()
+    stats.retrieval_curve(decay_points, condition_single=True, resamples=5)
+    assert sorted_rows == [
+        combinations(t.n_stored == 0, t.source_transmitted_intracavity,
+                     t.source_transmitted_outside, t.n_stored == 1, t.retrieved)
+        for t in decay_points]
+    assert max(sorted_rows) < min(map(len, decay_points))
 
 
 class TestPointEstimatesPinned:

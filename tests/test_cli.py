@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -143,6 +146,25 @@ class TestCliEntrypoints:
                          "--out", str(tmp_path)]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
         assert (tmp_path / "keep.txt").read_text() == "kept"
+
+    def test_run_out_of_memory_exits_two(self, tmp_path):
+        # under a 3 GB address-space limit the chunk block of 10^9 shots (72 GB
+        # of rows) is refused before any of it is touched
+        out = tmp_path / "out"
+        child = ("import resource, sys\n"
+                 "from photon_transistor import cli\n"
+                 "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard))\n"
+                 "sys.exit(cli.main(['run', '--preset', 'g2', '--shots', '1000000000',"
+                 " '--out', sys.argv[1]]))\n")
+        done = subprocess.run([sys.executable, "-c", child, str(out)], capture_output=True,
+                              text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                                       OPENBLAS_NUM_THREADS="1"))
+        assert done.returncode == 2, done.stderr[-4000:]
+        assert done.stderr == ("error: not enough memory to run 1000000000 shots per "
+                               "sweep point\n")
+        assert not out.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -649,6 +649,17 @@ class TestWindowKernel:
         assert first.startswith(prefix) and second.startswith(prefix)
         assert second != first
 
+    def test_changed_flags_build_a_new_library(self, cold_kernel_cache, monkeypatch):
+        # the library's name hashes the compiler command, so a flag changed
+        # after a build is never served by the library built without it
+        _require_kernel()
+        [first] = [p.name for p in cold_kernel_cache.iterdir()]
+        monkeypatch.setattr(_kernel, "_CFLAGS", (*_kernel._CFLAGS, "-DCHANGED_FLAG"))
+        _kernel._window_kernel.cache_clear()
+        assert _kernel._window_kernel() is not None
+        [second] = [p.name for p in cold_kernel_cache.iterdir()]
+        assert second != first
+
     def test_import_and_preset_setup_do_not_build(self):
         # what the benchmark times as setup: import, preset, reference table
         probe = ("import photon_transistor\n"
