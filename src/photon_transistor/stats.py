@@ -8,15 +8,14 @@ uncertainties.  Estimators read the columns of a shot table
 Uncertainties are bootstrap percentile intervals (1000 resamples by
 default) except for spectra, which carry plain standard errors of the
 mean.  Every bootstrap is drawn by ``_draw_sums`` as multinomial counts
-over the distinct per-shot rows, in the order of their bytes.  ``gain``,
-``retrieval_curve``, ``extinction_factor_errors`` and ``build_histogram``
-find those rows from the integer shot fields their columns are built of
-(``_counted_rows``): the fields' distinct combinations are counted by one
-int64 key per shot, and only their d rows are built and sorted, so for n
-shots and k columns the working memory is O(n) int64 plus d x k rows and a
-count block of at most max(``_BOOTSTRAP_BLOCK``, d) counts, whatever the
-number of resamples.  ``bootstrap_sums`` takes float columns (``g2_cross``)
-and sorts their n rows.  Replicates are ratios of the
+over the distinct per-shot rows, in the order of their bytes, and finds
+them by ``_counted_rows`` from the integer fields its columns are built
+of: shot counts and 0/1 masks, and for ``g2_cross`` each channel's code
+among its distinct float64 bit patterns.  Their distinct combinations are
+counted by one int64 key per shot, and only their d rows are built and
+sorted, so for n shots and k columns the working memory is O(n) int64 plus
+d x k rows and a count block of at most max(``_BOOTSTRAP_BLOCK``, d)
+counts, whatever the number of resamples.  Replicates are ratios of the
 resampled sums (``gain`` and ``retrieval_curve`` take the same ratios of
 the full-sample sums as point estimate).  ``retrieval_curve`` fits the
 decays of all its replicates in one batched Levenberg-Marquardt solve
@@ -57,15 +56,6 @@ class FitError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # bootstrap
-
-def bootstrap_sums(columns, resamples: int, rng: np.random.Generator) -> np.ndarray:
-    """Column sums of ``resamples`` bootstrap resamples of the rows of
-    ``columns`` (shape (n_shots, k)), shape (resamples, k): ``_draw_sums``
-    over the distinct rows of ``columns``.  A C-contiguous float64
-    ``columns`` is used without a copy."""
-    cols = np.ascontiguousarray(columns, dtype=float)
-    return _draw_sums(*_distinct_rows(cols), len(cols), resamples, rng)
-
 
 def _draw_sums(rows, freq, n: int, resamples: int, rng: np.random.Generator) -> np.ndarray:
     """Column sums of ``resamples`` bootstrap resamples of n shots whose
@@ -275,29 +265,13 @@ class TransmissionHistogram:
         raise KeyError(f"no column at detuning {detuning}")
 
 
-def _product_columns(n: int, products) -> np.ndarray:
-    """One C-contiguous float64 array of shape (n, len(products)), column
-    j holding mask * value for the j-th (mask, value) of ``products``, or
-    the mask itself for a value of None.  ``np.multiply`` writes each
-    product into its column in the dtype ``mask * value`` has, so the
-    array has the bytes of ``np.column_stack`` of the products cast to
-    float (NaN * 0 is NaN, 0 * -x is -0.0) without building that stack."""
-    out = np.empty((n, len(products)))
-    for column, (mask, value) in zip(out.T, products):
-        if value is None:
-            column[:] = mask
-        else:
-            np.multiply(mask, value, out=column)
-    return out
-
-
 def _component_sums(hi, *values) -> np.ndarray:
     """Per-shot columns (hi, lo, hi*v, lo*v, ...) of the split ``hi`` (lo
     = ~hi), as one float64 array; their sums are each component's size
     and total of each value."""
     lo = ~hi
-    return _product_columns(len(hi), [(hi, None), (lo, None),
-                                      *((m, v) for v in values for m in (hi, lo))])
+    return np.column_stack([hi, lo, *(m * v for v in values
+                                      for m in (hi, lo))]).astype(float)
 
 
 def _component_means(sums) -> tuple[np.ndarray, np.ndarray]:
@@ -384,6 +358,8 @@ def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
     factor of ``records``, as (err_low, err_high, skipped).  Replicates with
     an empty component or a dark low component are undefined and skipped."""
     table = shot_table(records)
+    if len(table) == 0:
+        raise ValueError("extinction_factor_errors got no shots")
     rows, freq = _counted_rows(_component_sums, table.n_stored == 0, table.detected_source)
     ratios = _extinction(_draw_sums(rows, freq, len(table), resamples,
                                     np.random.default_rng(seed)))[2]
@@ -481,8 +457,8 @@ def _retrieval_columns(empty, intra, outside, sel, retrieved) -> np.ndarray:
     sel*retrieved) of ``retrieval_curve``: the size and transmitted totals
     of the zero-excitation shots, and the size and retrievals of the
     selection."""
-    return _product_columns(len(empty), [(empty, None), (empty, intra), (empty, outside),
-                                         (sel, None), (sel, retrieved)])
+    return np.column_stack([empty, empty * intra, empty * outside,
+                            sel, sel * retrieved]).astype(float)
 
 
 def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
@@ -586,8 +562,12 @@ def g2_cross(gate_counts, source_counts, backgrounds: tuple[float, float] = (0.0
     if mg - dg <= 0 or ms - ds <= 0:
         raise ValueError("background exceeds a channel mean")
     raw, corrected = estimate(mg, ms, float(np.mean(g * s)))
-    bg, bs, bgs = (bootstrap_sums(np.column_stack([g, s, g * s]), resamples,
-                                  np.random.default_rng(seed)) / g.size).T
+    # each channel coded by its float64 bits, which keep -0.0 and NaNs apart as bytes do
+    (gv, gi), (sv, si) = (np.unique(x.view(np.int64), return_inverse=True) for x in (g, s))
+    gv, sv = gv.view(float), sv.view(float)
+    counted = _counted_rows(lambda i, j: np.column_stack([gv[i], sv[j], gv[i] * sv[j]]), gi, si)
+    bg, bs, bgs = (_draw_sums(*counted, g.size, resamples, np.random.default_rng(seed))
+                   / g.size).T
     with np.errstate(divide="ignore", invalid="ignore"):
         boots = np.column_stack(estimate(bg, bs, bgs))
     # a replicate failing the point estimate's conditions is undefined

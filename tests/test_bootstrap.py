@@ -1,13 +1,14 @@
-"""The shared bootstrap (``stats.bootstrap_sums``), the point estimates
-of every estimator that uses it, their fallback counts, and property
-tests of the estimators."""
+"""The shared bootstrap (``stats._draw_sums`` over the rows that
+``stats._counted_rows`` finds), the point estimates of every estimator
+that uses it, their fallback counts, and property tests of the
+estimators."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from photon_transistor import stats
@@ -29,6 +30,13 @@ def synthetic_records(n, seed, mu=20.0, stored_mean=0.5):
     return np.rec.fromarrays([np.arange(n), stored, intra, outside, np.zeros(n, bool),
                               retrieved, np.ones(n, bool), detected, gate],
                              dtype=SHOT_DTYPE)
+
+
+def sorted_bootstrap(cols, resamples, rng):
+    """``stats._draw_sums`` over the distinct rows of the C-contiguous
+    float columns ``cols`` (n shots x k), byte-sorted from all n rows: the
+    bootstrap the estimators' counted rows must reproduce draw for draw."""
+    return stats._draw_sums(*stats._distinct_rows(cols), len(cols), resamples, rng)
 
 
 def shots(n_stored, values):
@@ -56,7 +64,7 @@ class TestBootstrapSums:
         # n*cov (ddof=0) of the rows; 20000 replicates give the means to
         # well under 5 standard errors and the variances to about 1%
         n, reps = len(self.COLUMNS), 20_000
-        sums = stats.bootstrap_sums(self.COLUMNS, reps, np.random.default_rng(3))
+        sums = sorted_bootstrap(self.COLUMNS, reps, np.random.default_rng(3))
         assert sums.shape == (reps, 3)
         assert np.all(sums[:, 0] == n)
         mean, var = self.COLUMNS[:, 1:].mean(axis=0), self.COLUMNS[:, 1:].var(axis=0)
@@ -65,9 +73,9 @@ class TestBootstrapSums:
         assert np.allclose(sums[:, 1:].var(axis=0), n * var, rtol=0.05)
 
     def test_same_seed_same_draws(self):
-        a = stats.bootstrap_sums(self.COLUMNS, 50, np.random.default_rng(5))
-        b = stats.bootstrap_sums(self.COLUMNS, 50, np.random.default_rng(5))
-        c = stats.bootstrap_sums(self.COLUMNS, 50, np.random.default_rng(6))
+        a = sorted_bootstrap(self.COLUMNS, 50, np.random.default_rng(5))
+        b = sorted_bootstrap(self.COLUMNS, 50, np.random.default_rng(5))
+        c = sorted_bootstrap(self.COLUMNS, 50, np.random.default_rng(6))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -82,9 +90,9 @@ class TestBootstrapSums:
         cols = np.random.default_rng(7).integers(0, 10**9, (n_rows, 2)).astype(float)
         assert len(stats._distinct_rows(cols)[0]) == n_rows
         assert max(1, stats._BOOTSTRAP_BLOCK // n_rows) == block
-        blocked = stats.bootstrap_sums(cols, resamples, np.random.default_rng(8))
+        blocked = sorted_bootstrap(cols, resamples, np.random.default_rng(8))
         monkeypatch.setattr(stats, "_BOOTSTRAP_BLOCK", resamples * n_rows)
-        whole = stats.bootstrap_sums(cols, resamples, np.random.default_rng(8))
+        whole = sorted_bootstrap(cols, resamples, np.random.default_rng(8))
         assert np.array_equal(whole, blocked)
 
     def test_working_memory_holds_one_copy_of_the_rows(self):
@@ -96,7 +104,7 @@ class TestBootstrapSums:
         cols = np.random.default_rng(12).random((n, k))
         tracemalloc.start()
         try:
-            stats.bootstrap_sums(cols, 1000, np.random.default_rng(13))
+            sorted_bootstrap(cols, 1000, np.random.default_rng(13))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -107,7 +115,12 @@ class TestBootstrapSums:
         with pytest.raises(ValueError, match=f"resamples must be at least 1, not {resamples}"):
             stats.gain(records, resamples=resamples)
         with pytest.raises(ValueError, match="resamples must be at least 1"):
-            stats.bootstrap_sums(self.COLUMNS, resamples, np.random.default_rng(0))
+            sorted_bootstrap(self.COLUMNS, resamples, np.random.default_rng(0))
+
+    def test_no_shot_is_refused(self, records):
+        for empty in ([], records[:0]):
+            with pytest.raises(ValueError, match="extinction_factor_errors got no shots"):
+                stats.extinction_factor_errors(empty, 1.0)
 
     def test_empty_component_frequency(self):
         # 2 of 40 shots in one component: a resample misses both with
@@ -115,7 +128,7 @@ class TestBootstrapSums:
         # 5 standard deviations of 2000 times that
         p = (38 / 40) ** 40
         cols = np.array([[1.0]] * 2 + [[0.0]] * 38)
-        sums = stats.bootstrap_sums(cols, 2000, np.random.default_rng(9))
+        sums = sorted_bootstrap(cols, 2000, np.random.default_rng(9))
         empty = int((sums[:, 0] == 0).sum())
         assert abs(empty - 2000 * p) < 5 * math.sqrt(2000 * p * (1 - p))
 
@@ -159,7 +172,8 @@ def test_component_sums_equal_the_stacked_products(split):
     with np.errstate(invalid="ignore"):  # inf * 0
         cols = stats._component_sums(hi, *values)
         ref = np.column_stack([hi, ~hi, *(c for v in values for c in (hi * v, ~hi * v))])
-    # bit for bit, signed zeros and NaN included, and used by the bootstrap as it is
+    # bit for bit, signed zeros and NaN included, and C-contiguous float64 as
+    # the byte views of _distinct_rows need
     assert cols.dtype == np.float64 and cols.tobytes() == ref.astype(float).tobytes()
     assert np.ascontiguousarray(cols, dtype=float) is cols
 
@@ -189,14 +203,38 @@ def _mask(n):
     return st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
 
 
+def _channel(n):
+    """n float64 counts of one g2 channel: integers mixed with signed
+    zeros, NaN and infinities."""
+    return st.lists(EDGE_FLOATS | st.integers(-5, 1000).map(float),
+                    min_size=n, max_size=n).map(np.array)
+
+
+def _g2_table(channels):
+    """``g2_cross``'s columns and fields: each channel coded by its float64
+    bit patterns, whose n rows are the stack (g, s, g*s) of the channels."""
+    g, s = channels
+    (gv, gi), (sv, si) = (np.unique(x.view(np.int64), return_inverse=True) for x in (g, s))
+    gv, sv = gv.view(float), sv.view(float)
+
+    def g2_columns(i, j):
+        return np.column_stack([gv[i], sv[j], gv[i] * sv[j]])
+
+    with np.errstate(invalid="ignore"):  # inf * 0
+        assert g2_columns(gi, si).tobytes() == np.column_stack([g, s, g * s]).tobytes()
+    return g2_columns, (gi, si)
+
+
 # (columns, fields) as estimators key them: gain's and the histogram's
-# component split, and retrieval_curve's columns, whose rows merge
+# component split, retrieval_curve's columns, whose rows merge, and
+# g2_cross's coded channels
 FIELD_TABLES = st.integers(1, 40).flatmap(lambda n: st.one_of(
     st.tuples(st.just(stats._component_sums),
               st.tuples(_mask(n), st.lists(_int_field(n), max_size=3)).map(
                   lambda f: (f[0], *f[1]))),
     st.tuples(st.just(stats._retrieval_columns),
-              st.tuples(_mask(n), _int_field(n), _int_field(n), _mask(n), _mask(n)))))
+              st.tuples(_mask(n), _int_field(n), _int_field(n), _mask(n), _mask(n))),
+    st.tuples(_channel(n), _channel(n)).map(_g2_table)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,16 +244,42 @@ FIELD_TABLES = st.integers(1, 40).flatmap(lambda n: st.one_of(
     [[-2 ** 31 - 1, 2 ** 31, 0, 1, 2 ** 31]] * 3) * [[1], [-1], [1]])))
 def test_counted_rows_equal_the_sorted_columns(table):
     columns, fields = table
-    rows, freq = stats._counted_rows(columns, *fields)
-    ref_rows, ref_freq, ref_sums = _sorted_columns(columns, *fields)
+    with np.errstate(invalid="ignore"):  # g2's inf * 0 and inf - inf
+        rows, freq = stats._counted_rows(columns, *fields)
+        ref_rows, ref_freq, ref_sums = _sorted_columns(columns, *fields)
+        sums = freq @ rows
+        draws, ref_draws = (
+            stats._draw_sums(rows, freq, len(fields[0]), 3, np.random.default_rng(1)),
+            sorted_bootstrap(columns(*fields), 3, np.random.default_rng(1)))
     # the categories and their order, bit for bit, and the counts
     assert rows.shape == ref_rows.shape and rows.tobytes() == ref_rows.tobytes()
     assert freq.dtype == ref_freq.dtype and freq.tolist() == ref_freq.tolist()
-    assert (freq @ rows).tobytes() == ref_sums.tobytes()
+    if columns in (stats._component_sums, stats._retrieval_columns):
+        assert sums.tobytes() == ref_sums.tobytes()
+    else:  # g2's float sums, which g2_cross does not use: equal, NaN's bits aside
+        np.testing.assert_array_equal(sums, ref_sums)
     # so every draw
-    n = len(fields[0])
-    assert stats._draw_sums(rows, freq, n, 3, np.random.default_rng(1)).tobytes() == \
-        stats.bootstrap_sums(columns(*fields), 3, np.random.default_rng(1)).tobytes()
+    assert draws.tobytes() == ref_draws.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(_channel(n), _channel(n))))
+@example((np.array([0.0, -0.0, -0.0, 2.0]), np.array([1.0, 1.0, 1.0, -0.0])))
+def test_g2_cross_draws_over_the_sorted_rows(channels):
+    # g2_cross's own coding: -0.0 and 0.0 are two categories, as in the
+    # byte sort of the n rows (g, s, g*s), and so are NaNs of other bits
+    g, s = (np.append(c, 1000.0) for c in channels)  # a positive mean unless -inf
+    calls, draw = [], stats._draw_sums
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(stats, "_draw_sums", lambda *args: calls.append(args) or draw(*args))
+        try:
+            stats.g2_cross(g, s, resamples=3)
+        except ValueError:  # a channel mean of -inf
+            assume(False)
+        ref_rows, ref_freq = stats._distinct_rows(np.column_stack([g, s, g * s]))
+    [(rows, freq, n, _, _)] = calls
+    assert rows.tobytes() == ref_rows.tobytes() and freq.tolist() == ref_freq.tolist()
+    assert n == len(g)
 
 
 @pytest.mark.parametrize("fields, counted_by", [
@@ -290,6 +354,11 @@ def test_estimators_sort_distinct_rows_only(monkeypatch, records, decay_points):
                      t.source_transmitted_outside, t.n_stored == 1, t.retrieved)
         for t in decay_points]
     assert max(sorted_rows) < min(map(len, decay_points))
+    sorted_rows.clear()
+    gate, source = records.detected_gate, records.detected_source
+    stats.g2_cross(gate, source, resamples=5)
+    assert sorted_rows == [combinations(gate, source)]
+    assert sorted_rows[0] < len(records)
 
 
 class TestPointEstimatesPinned:
@@ -424,7 +493,7 @@ class TestUndefinedReplicates:
         values = [12, 20] + [k % 9 for k in range(18)]
         est = stats.gain(shots(n_stored, values), resamples=400, seed=3)
         hi, m = np.array(n_stored) == 0, np.array(values, dtype=float)
-        n_hi, n_lo, s_hi, s_lo, _, _ = stats.bootstrap_sums(
+        n_hi, n_lo, s_hi, s_lo, _, _ = sorted_bootstrap(
             np.column_stack([hi, ~hi, hi * m, ~hi * m, hi * m, ~hi * m]),
             400, np.random.default_rng(3)).T
         defined = (n_hi > 0) & (n_lo > 0)
@@ -441,8 +510,8 @@ class TestUndefinedReplicates:
         g = np.array([1.0, 1.0] + [0.0] * 38)
         s = np.array([3.0, 3.0] + [1.0, 2.0] * 19)
         res = stats.g2_cross(g, s, backgrounds=(0.04, 0.0), resamples=300, seed=2)
-        bg, bs, bgs = (stats.bootstrap_sums(np.column_stack([g, s, g * s]), 300,
-                                            np.random.default_rng(2)) / g.size).T
+        bg, bs, bgs = (sorted_bootstrap(np.column_stack([g, s, g * s]), 300,
+                                        np.random.default_rng(2)) / g.size).T
         kept = (bg - 0.04 > 0) & (bs > 0)
         lo, up = np.percentile(bgs[kept] / (bg[kept] * bs[kept]), [2.5, 97.5])
         assert res.fallbacks == 300 - kept.sum() > 0
