@@ -7,13 +7,13 @@ CPython extension module whose ``METH_FASTCALL`` function
 ``shot(block, shot_index)`` runs every compiled shot.  ``pack_shot``
 builds one block per chunk of one configuration's shots: the packed
 ``struct shot_args``, which holds numbers only, then the cooperativity
-levels, then the chunk's rows.  The entry point finds the levels and the
-rows from the block's own length and writes nothing but the shot's row;
-a shot stores at most ``_window.c``'s ``ETA_CAPACITY`` excitations, and
-one that stores more runs in Python.  ``engine`` computes what a shot of
-a configuration needs and runs every shot of the chunk through
-``pack_shot``'s result; the kernel is built on first use, never at
-import.
+levels, then the chunk's rows, the shot table's own.  The entry point
+finds the levels and the rows from the block's length and writes nothing
+but the shot's row; a shot stores at most ``_window.c``'s
+``ETA_CAPACITY`` excitations, and one that stores more runs in Python.
+``engine`` computes what a shot of a configuration needs and runs every
+shot of the chunk through ``pack_shot``'s result; the kernel is built on
+first use, never at import.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class _ShotArgs(ctypes.Structure):
                     "gate_efficiency", "gate_dark_mean"))]
 
 
-def pack_shot(kernel, levels: list[float], n_rows: int, **fields) -> tuple:
+def pack_shot(kernel, dtype: np.dtype, levels: list[float], n_rows: int, **fields) -> tuple:
     """``(shot, block, rows)``: the entry point ``shot`` of ``kernel``, the
     module of ``_window_kernel``, and one block for a chunk of
     ``n_rows`` of one configuration's shots; ``shot(block, i)`` runs shot
@@ -131,11 +131,12 @@ def pack_shot(kernel, levels: list[float], n_rows: int, **fields) -> tuple:
     ``block`` is one ``bytearray``: the packed ``_ShotArgs``, then
     ``levels``, the flattened (eta, probability) pairs of the
     cooperativity model, as float64, then the zeroed rows.  ``fields``
-    are the other ``_ShotArgs`` fields.  ``rows`` is the ``(n_rows, 9)``
-    int64 view of the block's tail: shot ``first + j`` writes row ``j``,
-    and ``shot`` refuses a shot outside the rows."""
+    are the other ``_ShotArgs`` fields.  ``rows`` is the block's tail as
+    ``n_rows`` rows of ``dtype``, the shot table's row, which ``_window.c``'s
+    ``struct shot_row`` mirrors: shot ``first + j`` writes row ``j``, and
+    ``shot`` refuses a shot outside the rows."""
     head = bytes(_ShotArgs(n_levels=len(levels) // 2, n_rows=n_rows, **fields))
     tail = len(head) + 8 * len(levels)
-    block = bytearray(tail + 72 * n_rows)
+    block = bytearray(tail + dtype.itemsize * n_rows)
     block[:tail] = head + np.array(levels, np.float64).tobytes()
-    return kernel.shot, block, np.frombuffer(block, np.int64, offset=tail).reshape(n_rows, 9)
+    return kernel.shot, block, np.frombuffer(block, dtype, offset=tail)

@@ -15,9 +15,9 @@
  *
  * Every function that reads a configuration takes it as one
  * const struct shot_args, numbers only, which heads the block that
- * _kernel.pack_shot builds for a chunk of shots.  shot writes its record,
- * ShotRecord's nine fields as int64, straight into the shot's row of the
- * block; it refuses a shot outside the rows and writes nothing for it.
+ * _kernel.pack_shot builds for a chunk of shots.  shot writes its record
+ * as one struct shot_row, a row of the shot table itself, straight into
+ * the block; it refuses a shot outside the rows and writes nothing for it.
  *
  * _kernel.py builds this file and loads it once, as the CPython extension
  * module _window, whose METH_FASTCALL function shot(block, shot_index)
@@ -135,8 +135,8 @@ void philox_raw(const uint64_t *key, uint64_t *out, int64_t n)
 /* One configuration's parameters, packed once per chunk by
  * _kernel.pack_shot (its ctypes mirror is _kernel._ShotArgs) at the head
  * of the chunk's 8-byte aligned block: this struct, the levels as
- * 2 * n_levels doubles, n_rows rows of 9 int64 (ShotRecord's fields in
- * order) and nothing else.  Every field is 8 bytes, so there is no padding. */
+ * 2 * n_levels doubles, n_rows struct shot_row and nothing else.  Every
+ * field is 8 bytes, so there is no padding. */
 struct shot_args {
     /* shot i keys its stream with (master_seed, i) and writes row
        i - first; a shot outside [first, first + n_rows) is refused */
@@ -163,6 +163,14 @@ struct shot_args {
     int64_t retrieval_mode;
     double retrieval_efficiency;
     double source_efficiency, source_dark_mean, gate_efficiency, gate_dark_mean;
+};
+
+/* A row of the shot table, engine.SHOT_DTYPE byte for byte (51 bytes, each bool
+ * one byte of 0 or 1), written whole so that no packed member's address is taken */
+struct __attribute__((packed)) shot_row {
+    int64_t shot_index, n_stored, transmitted_intracavity, transmitted_outside;
+    uint8_t collapsed, retrieved, survived_decay;
+    int64_t detected_source, detected_gate;
 };
 
 /* ---- the source window ---- */
@@ -363,7 +371,7 @@ static int detect(bitgen_t *bitgen, binomial_t *state, int64_t true_count,
  * having written nothing, when the row is outside the block, a draw that
  * numpy's Generator rejects comes up, or more than ETA_CAPACITY
  * excitations are stored; the caller then runs the shot in Python. */
-static int shot(const struct shot_args *a, const double *levels, int64_t *rows,
+static int shot(const struct shot_args *a, const double *levels, struct shot_row *rows,
                 uint64_t shot_index)
 {
     /* unsigned, so an index below first wraps to a row past the block */
@@ -404,16 +412,9 @@ static int shot(const struct shot_args *a, const double *levels, int64_t *rows,
                        &gate))
         return SHOT_IN_PYTHON;
 
-    int64_t *r = rows + 9 * row;
-    r[0] = (int64_t)shot_index;
-    r[1] = n_stored;
-    r[2] = transmitted;
-    r[3] = outside;
-    r[4] = n_stored > 0 && !coherent;
-    r[5] = retrieved;
-    r[6] = survived;
-    r[7] = source;
-    r[8] = gate;
+    rows[row] = (struct shot_row){(int64_t)shot_index, n_stored, transmitted, outside,
+                                  n_stored > 0 && !coherent, retrieved, survived,
+                                  source, gate};
     return 0;
 }
 
@@ -444,15 +445,16 @@ static PyObject *shot_entry(PyObject *module, PyObject *const *argv, Py_ssize_t 
     uint64_t rest = (uint64_t)view.len - sizeof *a;
     if ((uintptr_t)view.buf % 8 != 0 || (uint64_t)view.len < sizeof *a
             || (uint64_t)a->n_levels > rest / 16
-            || (rest - 16 * (uint64_t)a->n_levels) % 72 != 0
-            || (rest - 16 * (uint64_t)a->n_levels) / 72 != a->n_rows) {
+            || (rest - 16 * (uint64_t)a->n_levels) % sizeof(struct shot_row) != 0
+            || (rest - 16 * (uint64_t)a->n_levels) / sizeof(struct shot_row) != a->n_rows) {
         PyBuffer_Release(&view);
         PyErr_Format(PyExc_ValueError, "shot() needs an 8-byte aligned block of %zu + "
-                     "16 n_levels + 72 n_rows bytes, not %zd", sizeof *a, view.len);
+                     "16 n_levels + %zu n_rows bytes, not %zd", sizeof *a,
+                     sizeof(struct shot_row), view.len);
         return NULL;
     }
     const double *levels = (const double *)(a + 1);
-    int refused = shot(a, levels, (int64_t *)(levels + 2 * a->n_levels), shot_index);
+    int refused = shot(a, levels, (struct shot_row *)(levels + 2 * a->n_levels), shot_index);
     PyBuffer_Release(&view);
     return PyBool_FromLong(refused);
 }

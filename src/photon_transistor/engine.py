@@ -44,14 +44,14 @@ operations in the dispersive spectrum.  ``shot`` is the only compiled
 path.  ``_kernel`` builds the kernel and loads it once, as an extension
 module, and packs a chunk (``_run_range``) of one configuration's shots
 into one block: ``struct shot_args``, numbers only, the cooperativity
-levels, then the chunk's ``(n, 9)`` int64 rows, which the block owns.
-``run_shot`` calls the module's entry point ``shot(block, shot_index)``,
-which writes only the shot's row; the rows are cast into the shot table
-once, column by column, so a shot the kernel runs makes no Python
-object.  ``_run_range`` still calls ``run_shot`` once per shot: the
-benchmark's self-test (``perfbench/test_perfbench.py``) counts those
-calls against the number of shots, so the loop over a chunk can move
-into C only once the benchmark counts shots from the tables.
+levels, then the chunk's rows, which are the shot table itself, as
+``_window.c``'s ``struct shot_row`` is a ``SHOT_DTYPE`` row byte for
+byte.  ``run_shot`` calls the module's entry point ``shot(block,
+shot_index)``, which writes only the shot's row, so a shot the kernel
+runs makes no Python object.  ``_run_range`` still calls ``run_shot``
+once per shot: the benchmark's self-test (``perfbench/test_perfbench.py``)
+counts those calls against the number of shots, so the loop over a chunk
+can move into C only once the benchmark counts shots from the tables.
 
 The Python engine stays, as the reference the tests compare the kernel
 against and as the fallback: ``evolve_source_window`` is the Python
@@ -245,10 +245,12 @@ class RunConfig:
     retrieval_mode: bool = False
 
     def __post_init__(self):
-        if self.n_shots < 1:
-            raise ValueError("RunConfig.n_shots must be >= 1")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError("RunConfig.master_seed must be a 64-bit integer")
+        for name, lo, hi in (("n_shots", 1, math.inf), ("master_seed", 0, 2 ** 64 - 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or not lo <= value <= hi):
+                raise ValueError(f"RunConfig.{name} must be an integer in [{lo}, {hi}], "
+                                 f"got {value!r}")
 
 
 def shot_rng(master_seed: int, shot_index: int) -> np.random.Generator:
@@ -445,9 +447,8 @@ def run_shot(config: RunConfig, shot_index: int, _scratch=None) -> ShotRecord | 
     shot, block, rows, first, stream = _scratch
     # shot raises OverflowError for an index out of range; shot_rng
     # raises its own error for it
-    if shot is not None and 0 <= shot_index < 2 ** 64:
-        if not shot(block, shot_index):
-            return None
+    if shot is not None and 0 <= shot_index < 2 ** 64 and not shot(block, shot_index):
+        return None
     row = shot_index - first
     if not 0 <= row < len(rows):
         raise IndexError(f"shot {shot_index} is outside the chunk of shots "
@@ -491,8 +492,8 @@ def _dark_mean(rate: float, window: float) -> float:
 
 def _shot_scratch(config: RunConfig, first: int, n: int) -> tuple:
     """What ``run_shot`` reuses across a chunk of ``config``'s shots
-    ``first`` to ``first + n - 1``, whose records go into ``rows``, an
-    ``(n, 9)`` int64 array: ``(shot, block, rows, first, None)``, the
+    ``first`` to ``first + n - 1``, whose records go into ``rows``, ``n``
+    zeroed ``SHOT_DTYPE`` rows: ``(shot, block, rows, first, None)``, the
     compiled ``shot``'s entry point and ``_kernel.pack_shot``'s block of
     the configuration, whose tail is ``rows``, when the kernel is built;
     otherwise ``(None, None, rows, first, stream)``, with a Philox stream
@@ -506,16 +507,15 @@ def _shot_scratch(config: RunConfig, first: int, n: int) -> tuple:
     kernel = _kernel._window_kernel()
     if kernel is None:
         bitgen = np.random.Philox(key=0)  # rekeyed for every shot
-        rows = np.zeros((n, len(SHOT_DTYPE)), np.int64)
-        return None, None, rows, first, (bitgen, np.random.Generator(bitgen))
+        return None, None, np.zeros(n, SHOT_DTYPE), first, (bitgen, np.random.Generator(bitgen))
     cavity, atoms, coop, timing = config.cavity, config.atoms, config.coop, config.timing
     det, delta = config.detection, config.source.detuning
     cavity_denominator = 1.0 + 2.0j * delta / cavity.kappa
     atom_denominator = 1.0 + 2.0j * delta / atoms.gamma
     x = 2.0 * delta / atoms.gamma
     return *_kernel.pack_shot(
-        kernel, [value for level in coop.levels or () for value in level], n, first=first,
-        master_seed=config.master_seed, stored_mean=config.gate.stored_mean,
+        kernel, SHOT_DTYPE, [value for level in coop.levels or () for value in level], n,
+        first=first, master_seed=config.master_seed, stored_mean=config.gate.stored_mean,
         standing_wave=coop.standing_wave, coop_scale=coop.eta0 * coop.geometric_weight,
         storage_time=timing.total_storage_time,
         survival=math.exp(-timing.total_storage_time / atoms.tau_spinwave),
@@ -536,17 +536,12 @@ def _shot_scratch(config: RunConfig, first: int, n: int) -> tuple:
 
 def _run_range(args) -> np.recarray:
     """Shot table of the shots ``start`` to ``stop - 1`` of ``config``:
-    ``run_shot`` writes each shot's record into its row of the chunk's
-    int64 rows, which are then cast into the table column by column."""
+    the chunk's rows, into which ``run_shot`` writes each shot's record."""
     config, start, stop = args
     scratch = _shot_scratch(config, start, stop - start)
     for i in range(start, stop):
         run_shot(config, i, scratch)
-    rows = scratch[2]
-    table = np.empty(len(rows), SHOT_DTYPE)
-    for column, name in enumerate(SHOT_DTYPE.names):
-        table[name] = rows[:, column]
-    return table.view(np.recarray)
+    return scratch[2].view(np.recarray)
 
 
 def bound_workers(requested: int, n_tasks: int, cpus: int | None = None) -> int:

@@ -550,6 +550,8 @@ def g2_cross(gate_counts, source_counts, backgrounds: tuple[float, float] = (0.0
         raise ValueError("gate and source counts must be equal-length 1-d arrays")
     if g.size < 2:
         raise ValueError(f"g2_cross needs at least 2 shots, got {g.size}")
+    if not (np.isfinite(g).all() and np.isfinite(s).all()):
+        raise ValueError("g2_cross needs finite counts, not NaN or an infinity")
     dg, ds = backgrounds
 
     def estimate(mg, ms, mgs):
@@ -562,7 +564,7 @@ def g2_cross(gate_counts, source_counts, backgrounds: tuple[float, float] = (0.0
     if mg - dg <= 0 or ms - ds <= 0:
         raise ValueError("background exceeds a channel mean")
     raw, corrected = estimate(mg, ms, float(np.mean(g * s)))
-    # each channel coded by its float64 bits, which keep -0.0 and NaNs apart as bytes do
+    # each channel coded by its float64 bits, which keep -0.0 apart as bytes do
     (gv, gi), (sv, si) = (np.unique(x.view(np.int64), return_inverse=True) for x in (g, s))
     gv, sv = gv.view(float), sv.view(float)
     counted = _counted_rows(lambda i, j: np.column_stack([gv[i], sv[j], gv[i] * sv[j]]), gi, si)

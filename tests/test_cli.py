@@ -148,7 +148,7 @@ class TestCliEntrypoints:
         assert (tmp_path / "keep.txt").read_text() == "kept"
 
     def test_run_out_of_memory_exits_two(self, tmp_path):
-        # under a 3 GB address-space limit the chunk block of 10^9 shots (72 GB
+        # under a 3 GB address-space limit the chunk block of 10^9 shots (51 GB
         # of rows) is refused before any of it is touched
         out = tmp_path / "out"
         child = ("import resource, sys\n"

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -424,7 +425,7 @@ def _check_rows_outside_the_block_refused():
     for index in (12, 10, 11):
         assert run_shot(cfg, index, scratch) is None
     assert block[:-rows.nbytes] == packed[:-rows.nbytes]
-    assert rows.tolist() == [list(run_shot(cfg, i)) for i in (10, 11, 12)]
+    assert rows.tolist() == [run_shot(cfg, i) for i in (10, 11, 12)]
 
 
 def _fig4e_and_detuned_points():
@@ -492,6 +493,8 @@ def _check_entry_point_refusals():
                 ((bytearray(packed[:-8]), 10), ValueError, bad_block),
                 ((bytearray(packed + bytes(8)), 10), ValueError, bad_block),
                 ((bytearray(packed + bytes(72)), 10), ValueError, bad_block),
+                # one more row than the header's n_rows
+                ((bytearray(packed + bytes(SHOT_DTYPE.itemsize)), 10), ValueError, bad_block),
                 ((lying(n_rows=4), 10), ValueError, bad_block),
                 ((lying(n_levels=2 ** 62), 10), ValueError, bad_block),
                 # 16 n_levels wraps around to the levels' true length
@@ -954,6 +957,15 @@ class TestValidation:
     def test_config_invariants(self):
         with pytest.raises(ValueError, match="n_shots"):
             base_config(n_shots=0)
+        # an integer, not a float or a bool, refused at the boundary
+        for field, value in [("n_shots", 2.5), ("n_shots", math.nan), ("n_shots", True),
+                             ("n_shots", np.True_), ("master_seed", 1.5),
+                             ("master_seed", False), ("master_seed", "7")]:
+            with pytest.raises(ValueError, match=f"RunConfig.{field} must be an integer"):
+                base_config(**{field: value})
+        # numpy integers stay accepted
+        cfg = base_config(n_shots=np.int64(3), master_seed=np.uint64(7))
+        assert (cfg.n_shots, cfg.master_seed) == (3, 7)
 
     def test_seed_range(self):
         with pytest.raises(ValueError, match="master_seed"):
@@ -1205,6 +1217,20 @@ class TestShotKernel:
             for cfg, table in zip(configs, expected):
                 assert run_experiment(cfg, workers=workers).tolist() == table.tolist()
             assert _kernel._window_kernel() is not None
+
+    def test_a_point_holds_its_table_alone(self):
+        # the kernel writes the table's own rows: a fig4e point of 2^17
+        # shots peaks at its table and a fixed overhead, with no second
+        # row block per shot
+        _require_kernel()
+        cfg = replace(presets.get_preset("fig4e").points[3].config, n_shots=2 ** 17)
+        tracemalloc.start()
+        try:
+            table = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes <= peak < table.nbytes + 64 * 1024
 
     def test_loading_binds_nothing(self, tmp_path):
         # the snapshot perfbench's self-test takes of the package's
