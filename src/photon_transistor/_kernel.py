@@ -12,8 +12,13 @@ finds the levels and the rows from the block's length and writes nothing
 but the shot's row; a shot stores at most ``_window.c``'s
 ``ETA_CAPACITY`` excitations, and one that stores more runs in Python.
 ``engine`` computes what a shot of a configuration needs and runs every
-shot of the chunk through ``pack_shot``'s result; the kernel is built on
-first use, never at import.
+shot of the chunk through ``pack_shot``'s result.  The module's second
+``METH_FASTCALL`` function, ``multinomial(capsule, n, p, counts)``, fills
+an int64 block of counts with the rows of ``rng.multinomial(n, p, size)``
+from the bit generator of ``rng.bit_generator.capsule``, draw for draw,
+and refuses, writing and drawing nothing, arguments the Generator
+rejects; ``stats._draw_sums`` calls it for every bootstrap block.  The
+kernel is built on first use, a shot or a draw, never at import.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 def _load_kernel():
     """``_window.c`` compiled and loaded as an extension module, whose
-    entry point ``shot`` runs every compiled shot; compiled only when no
-    library of this source, build command, ``libnpyrandom.a`` and
-    interpreter is cached yet.
+    entry point ``shot`` runs every compiled shot and ``multinomial``
+    draws every bootstrap block; compiled only when no library of this
+    source, build command, ``libnpyrandom.a`` and interpreter is cached
+    yet.
     The module is registered nowhere, in ``sys.modules`` or on any module
     of this package.
 
@@ -97,7 +103,7 @@ def _load_kernel():
 def _window_kernel():
     """The compiled kernel, ``_load_kernel``'s extension module, built on
     first use; None when it cannot be built or loaded, and shots run in
-    Python."""
+    Python and bootstraps draw with ``rng.multinomial``."""
     try:
         return _load_kernel()
     except (OSError, ImportError, subprocess.SubprocessError):

@@ -22,9 +22,12 @@
  * _kernel.py builds this file and loads it once, as the CPython extension
  * module _window, whose METH_FASTCALL function shot(block, shot_index)
  * takes the block through the buffer protocol, checks its length and
- * calls shot, holding the GIL.  source_window, philox_raw and
- * window_probabilities_of are plain exports that only the tests call,
- * through ctypes.
+ * calls shot, holding the GIL.  Its second entry point,
+ * multinomial(capsule, n, p, counts), draws the bootstrap's counts for
+ * stats._draw_sums: the rows of counts that rng.multinomial(n, p, size)
+ * returns, from rng's own bit generator, draw for draw.  source_window,
+ * philox_raw and window_probabilities_of are plain exports that only the
+ * tests call, through ctypes.
  *
  * source_window is the loop of engine.evolve_source_window once the
  * incident photon number is drawn, branch for branch, drawing from the
@@ -42,6 +45,7 @@
  */
 #include <Python.h>
 #include <math.h>
+#include <string.h>
 #include "numpy/random/distributions.h"
 
 /* return value of source_window when a draw is rejected */
@@ -459,10 +463,195 @@ static PyObject *shot_entry(PyObject *module, PyObject *const *argv, Py_ssize_t 
     return PyBool_FromLong(refused);
 }
 
+/* ---- the bootstrap's multinomial counts ---- */
+
+/* Category j of numpy's random_multinomial, set up once per call.  numpy
+ * draws it as random_binomial(p[j] / remaining_p, dn), where remaining_p
+ * is 1 with p[0] to p[j - 1] subtracted in turn, so depends on j alone;
+ * the inversion set-up that random_binomial_inversion recomputes for
+ * every draw depends on dn only through dn * log q and dn * p. */
+struct category {
+    /* p[j] / remaining_p, the probability random_binomial gets */
+    double p;
+    /* the probability random_binomial inverts with, p, or 1 - p when p is
+       above 0.5, and log(1 - inverted) */
+    double inverted, log_q;
+};
+
+/* random_binomial(bitgen, c->p, n, binomial): a draw that numpy makes by
+ * inversion is made here as random_binomial_inversion makes it, every
+ * expression as numpy writes it but for log(q), taken from c; any other
+ * draw (BTPE, or a probability above 1) is numpy's own. */
+static int64_t category_draw(bitgen_t *bitgen, const struct category *c, int64_t n,
+                             binomial_t *binomial)
+{
+    if (n == 0 || c->p == 0.0)
+        return 0;
+    double p = c->inverted, dn = (double)n;
+    /* false for a probability above 1, whose inverted one is negative */
+    if (!(p >= 0.0 && p * dn <= 30.0))
+        return random_binomial(bitgen, c->p, n, binomial);
+    double q = 1.0 - p, qn = exp(dn * c->log_q), np = dn * p;
+    double top = np + 10.0 * sqrt(np * q + 1);
+    int64_t bound = (int64_t)(dn < top ? dn : top), x = 0;
+    double px = qn, u = next_double(bitgen);
+    while (u > px) {
+        x++;
+        if (x > bound) {
+            x = 0;
+            px = qn;
+            u = next_double(bitgen);
+        } else {
+            u -= px;
+            px = ((double)(n - x + 1) * p * px) / ((double)x * q);
+        }
+    }
+    return c->p <= 0.5 ? x : n - x;
+}
+
+/* numpy's kahan_sum of the n values p: 0 when n is 0 */
+static double kahan_sum(const double *p, int64_t n)
+{
+    if (n <= 0)
+        return 0.0;
+    double sum = p[0], c = 0.0;
+    for (int64_t i = 1; i < n; i++) {
+        double y = p[i] - c, t = sum + y;
+        c = (t - sum) - y;
+        sum = t;
+    }
+    return sum;
+}
+
+/* Whether the Generator rejects multinomial(n, p) over d categories: n
+ * below 0, no category, a p outside [0, 1] or NaN, or p[:-1] summing
+ * above 1 + 1e-12 */
+static int multinomial_rejected(int64_t n, const double *p, int64_t d)
+{
+    if (n < 0 || d < 1)
+        return 1;
+    for (int64_t j = 0; j < d; j++)
+        if (!(p[j] >= 0.0 && p[j] <= 1.0))
+            return 1;
+    return kahan_sum(p, d - 1) > 1.0 + 1e-12;
+}
+
+/* Fills the rows x d counts with rng.multinomial(n, p, size=rows) as
+ * numpy's Generator draws them, from bitgen, for arguments it accepts.
+ * One row is numpy's own random_multinomial, which has nothing to share
+ * between rows; more rows set each category up once, in cats, scratch
+ * for d - 1 categories. */
+static void multinomial(bitgen_t *bitgen, int64_t n, const double *p, int64_t d,
+                        int64_t *counts, int64_t rows, struct category *cats)
+{
+    binomial_t binomial = {0};
+    if (rows == 0)
+        return;
+    if (rows == 1) {
+        /* random_multinomial writes only the categories it draws */
+        memset(counts, 0, (size_t)d * sizeof *counts);
+        random_multinomial(bitgen, n, counts, (double *)p, d, &binomial);
+        return;
+    }
+    double remaining = 1.0;
+    for (int64_t j = 0; j < d - 1; j++) {
+        double pj = p[j] / remaining;
+        remaining -= p[j];
+        cats[j].p = pj;
+        cats[j].inverted = pj <= 0.5 ? pj : 1.0 - pj;
+        /* only an inverted probability in [0, 0.5] is used with its log */
+        cats[j].log_q = cats[j].inverted >= 0.0 ? log(1.0 - cats[j].inverted) : 0.0;
+    }
+    for (int64_t row = 0; row < rows; row++, counts += d) {
+        /* random_multinomial: a category after the one that takes the
+           last of n is 0, and the last takes what is left */
+        int64_t dn = n, j = 0;
+        while (j < d - 1) {
+            counts[j] = category_draw(bitgen, &cats[j], dn, &binomial);
+            dn -= counts[j++];
+            if (dn <= 0)
+                break;
+        }
+        for (; j < d - 1; j++)
+            counts[j] = 0;
+        counts[d - 1] = dn > 0 ? dn : 0;
+    }
+}
+
+/* Whether view holds C-contiguous items of format, one of its own
+   letters that may follow a byte-order mark, itemsize bytes each */
+static int holds(const Py_buffer *view, const char *letters, Py_ssize_t itemsize)
+{
+    const char *format = view->format ? view->format : "B";
+    if (*format && strchr("@=<", *format))
+        format++;
+    return view->itemsize == itemsize && format[0] && !format[1]
+        && strchr(letters, format[0]) && PyBuffer_IsContiguous(view, 'C');
+}
+
+/* multinomial(capsule, n, p, counts) from Python: fills counts, a
+ * writeable C-contiguous int64 buffer of rows x d, with the rows of
+ * rng.multinomial(n, p, size=rows), drawn from the bit generator of the
+ * "BitGenerator" capsule, and returns whether the Generator would reject
+ * the arguments, having then written and drawn nothing.  p is a
+ * C-contiguous float64 buffer of d values.  Any other argument raises and
+ * writes nothing.  The GIL is held throughout; the caller holds the bit
+ * generator's lock. */
+static PyObject *multinomial_entry(PyObject *module, PyObject *const *argv, Py_ssize_t argc)
+{
+    (void)module;
+    if (argc != 4) {
+        PyErr_Format(PyExc_TypeError, "multinomial() takes 4 arguments (%zd given)", argc);
+        return NULL;
+    }
+    bitgen_t *bitgen = PyCapsule_GetPointer(argv[0], "BitGenerator");
+    if (bitgen == NULL)
+        return NULL;
+    long long n = PyLong_AsLongLong(argv[1]);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    Py_buffer p, counts;
+    if (PyObject_GetBuffer(argv[2], &p, PyBUF_FORMAT | PyBUF_STRIDES) < 0)
+        return NULL;
+    if (PyObject_GetBuffer(argv[3], &counts, PyBUF_FORMAT | PyBUF_STRIDES) < 0) {
+        PyBuffer_Release(&p);
+        return NULL;
+    }
+    int64_t d = p.len / 8;
+    PyObject *result = NULL;
+    if (!holds(&p, "d", 8)) {
+        PyErr_SetString(PyExc_ValueError, "multinomial() needs p as C-contiguous float64");
+    } else if (counts.readonly || !holds(&counts, "lq", 8)
+               || (d > 0 && counts.len % (8 * d) != 0)) {
+        PyErr_Format(PyExc_ValueError, "multinomial() needs counts as writeable "
+                     "C-contiguous int64, rows of %lld", (long long)d);
+    } else if (multinomial_rejected(n, p.buf, d)) {
+        result = Py_NewRef(Py_True);
+    } else {
+        int64_t rows = counts.len / (8 * d);
+        /* one row has no set-up to share: multinomial takes no scratch */
+        struct category *cats = rows > 1 ? PyMem_Malloc((size_t)d * sizeof *cats) : NULL;
+        if (rows > 1 && cats == NULL) {
+            PyErr_NoMemory();
+        } else {
+            multinomial(bitgen, n, p.buf, d, counts.buf, rows, cats);
+            result = Py_NewRef(Py_False);
+        }
+        PyMem_Free(cats);
+    }
+    PyBuffer_Release(&counts);
+    PyBuffer_Release(&p);
+    return result;
+}
+
 static PyMethodDef window_methods[] = {
     {.ml_name = "shot", .ml_meth = (PyCFunction)(void (*)(void))shot_entry,
      .ml_flags = METH_FASTCALL,
      .ml_doc = "shot(block, shot_index): run one shot; True when it was refused"},
+    {.ml_name = "multinomial", .ml_meth = (PyCFunction)(void (*)(void))multinomial_entry,
+     .ml_flags = METH_FASTCALL,
+     .ml_doc = "multinomial(capsule, n, p, counts): fill counts as the Generator's "
+               "multinomial; True when it was refused"},
     {0},
 };
 
@@ -471,7 +660,8 @@ static PyMethodDef window_methods[] = {
 static struct PyModuleDef window_module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_window",
-    .m_doc = "The entry point of the compiled shot.",
+    .m_doc = "The entry points of the compiled shot and of the bootstrap's "
+             "multinomial counts.",
     .m_methods = window_methods,
 };
 

@@ -6,11 +6,18 @@ uncertainties.  Estimators read the columns of a shot table
 ``ShotRecord`` rows is converted to one first.
 
 Uncertainties are bootstrap percentile intervals (1000 resamples by
-default) except for spectra, which carry plain standard errors of the
-mean.  Every bootstrap is drawn by ``_draw_sums`` as multinomial counts
-over the distinct per-shot rows, in the order of their bytes, and finds
-them by ``_counted_rows`` from the integer fields its columns are built
-of: shot counts and 0/1 masks, and for ``g2_cross`` each channel's code
+default) except for three 1-sigma standard errors: of the mean for
+spectra, propagated from both means for ``switching_contrast``, and
+binomial for ``single_excitation_fraction``.  Every bootstrap is drawn
+by ``_draw_sums`` as multinomial counts over the distinct per-shot
+rows, in the order of their bytes.  The compiled kernel's
+``multinomial`` draws the counts (``_multinomial``): numpy's own draws,
+count for count and from the same generator state as
+``rng.multinomial``, with each category's set-up computed once per block
+of resamples instead of once per resample; without a compiler
+``rng.multinomial`` draws them.  Every bootstrap finds its rows by
+``_counted_rows`` from the integer fields its columns are built of:
+shot counts and 0/1 masks, and for ``g2_cross`` each channel's code
 among its distinct float64 bit patterns.  Their distinct combinations are
 counted by one int64 key per shot, and only their d rows are built and
 sorted, so for n shots and k columns the working memory is O(n) int64 plus
@@ -41,6 +48,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _kernel
 from .engine import ShotRecord, shot_table
 
 DEFAULT_RESAMPLES = 1000
@@ -64,14 +72,33 @@ def _draw_sums(rows, freq, n: int, resamples: int, rng: np.random.Generator) -> 
     multinomial number of times, so counts are drawn over the distinct
     rows only; blocks of at most ``_BOOTSTRAP_BLOCK`` counts (one row of
     counts when there are more distinct rows) bound memory without
-    changing them."""
+    changing them.  Each block is ``_multinomial``'s."""
     if resamples < 1:
         raise ValueError(f"resamples must be at least 1, not {resamples}")
     p = freq / n
     block = max(1, _BOOTSTRAP_BLOCK // len(rows))
+    kernel = _kernel._window_kernel()
     return np.concatenate([
-        rng.multinomial(n, p, size=min(block, resamples - start)) @ rows
+        _multinomial(kernel, rng, n, p, min(block, resamples - start)) @ rows
         for start in range(0, resamples, block)])
+
+
+def _multinomial(kernel, rng: np.random.Generator, n: int, p: np.ndarray,
+                 size: int) -> np.ndarray:
+    """``rng.multinomial(n, p, size=size)``, drawn by the compiled
+    ``multinomial`` of ``kernel``, the module of ``_kernel._window_kernel``:
+    the same counts, from ``rng``'s bit generator in the same state, with
+    each category's set-up computed once per block.  ``rng.multinomial``
+    draws them itself when there is no kernel, and for arguments that it
+    rejects, which the kernel refuses without drawing, so that it raises
+    its own error."""
+    if kernel is not None:
+        counts = np.empty((size, len(p)), np.int64)
+        with rng.bit_generator.lock:  # as the Generator's own draws hold it
+            refused = kernel.multinomial(rng.bit_generator.capsule, n, p, counts)
+        if not refused:
+            return counts
+    return rng.multinomial(n, p, size=size)
 
 
 def _distinct_rows(cols: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -368,14 +395,16 @@ def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
 
 
 def single_excitation_fraction(records: Sequence[ShotRecord]) -> tuple[float, float]:
-    """P(n_stored = 1 | n_stored >= 1) with its binomial standard error."""
+    """P(n_stored = 1 | n_stored >= 1) with its binomial standard error,
+    sqrt(p (1 - p) / n), which is 0 when every or no shot with a stored
+    excitation stored exactly one."""
     stored = shot_table(records).n_stored
     present = stored >= 1
     n = int(present.sum())
     if n == 0:
         raise ValueError("no shots with a stored excitation")
     p = float(np.mean(stored[present] == 1))
-    return p, math.sqrt(max(p * (1 - p), 1e-12) / n)
+    return p, math.sqrt(p * (1 - p) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """The shared bootstrap (``stats._draw_sums`` over the rows that
-``stats._counted_rows`` finds), the point estimates of every estimator
-that uses it, their fallback counts, and property tests of the
-estimators."""
+``stats._counted_rows`` finds), the compiled multinomial counts it draws,
+the point estimates of every estimator that uses it, their fallback
+counts, and property tests of the estimators."""
 
+import contextlib
 import math
+import re
+import shutil
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photon_transistor import stats
+from photon_transistor import _kernel, presets, runner, stats
 from photon_transistor.engine import SHOT_DTYPE, ShotRecord
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -131,6 +135,205 @@ class TestBootstrapSums:
         sums = sorted_bootstrap(cols, 2000, np.random.default_rng(9))
         empty = int((sums[:, 0] == 0).sum())
         assert abs(empty - 2000 * p) < 5 * math.sqrt(2000 * p * (1 - p))
+
+
+# ---------------------------------------------------------------------------
+# the compiled multinomial counts
+
+def _require_kernel():
+    """The kernel's module; skip without a C compiler, and with one the
+    kernel must build."""
+    if shutil.which(_kernel._CC) is None:
+        pytest.skip(f"no C compiler found ({_kernel._CC!r} is not on PATH)")
+    kernel = _kernel._window_kernel()
+    assert kernel is not None, "the window kernel did not build"
+    return kernel
+
+
+def _python_draws():
+    """Every bootstrap draws with ``rng.multinomial`` while this is active."""
+    return mock.patch.object(_kernel, "_window_kernel", lambda: None)
+
+
+def _counts_block(rows, d, fill=0):
+    """A writeable int64 array of rows x d, all ``fill``, over a bytearray:
+    with PYTHONMALLOC=malloc its exact bounds are what the sanitizer sees."""
+    counts = np.frombuffer(bytearray(8 * rows * d), np.int64).reshape(rows, d)
+    counts[...] = fill
+    return counts
+
+
+def _compiled_multinomial(n, p, counts, rng):
+    """The kernel's ``multinomial`` into ``counts``, drawing from ``rng``'s
+    bit generator under its lock: whether it refused."""
+    with rng.bit_generator.lock:
+        return _kernel._window_kernel().multinomial(rng.bit_generator.capsule, n, p, counts)
+
+
+def _check_multinomial(n, p, size, seed):
+    """The kernel's ``size`` rows of counts equal ``rng.multinomial``'s
+    count for count, from generators seeded alike, and leave them in the
+    same state."""
+    p = np.array(p, float)
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts = _counts_block(size, len(p), fill=-1)
+    assert _compiled_multinomial(n, p, counts, ours) is False
+    expected = numpys.multinomial(n, p, size=size)
+    assert np.array_equal(counts, expected), (n, p.tolist(), size, seed)
+    assert ours.bit_generator.state == numpys.bit_generator.state
+    assert ours.random() == numpys.random()
+
+
+def _probabilities(weights):
+    """``weights`` over their sum, or all on the first category when they sum to 0."""
+    w = np.array(weights, float)
+    if w.sum() == 0:
+        w[0] = 1.0
+    return (w / w.sum()).tolist()
+
+
+def RANDOM_MULTINOMIALS(check):
+    """``check`` as a hypothesis test over n from 0 to 10^6, 1 to 40
+    categories with zeros and dominant ones among them, and blocks of 0 to
+    5 rows, with examples of each way a category is drawn."""
+    examples = [
+        (0, [1.0], 3), (7, [1.0], 2), (0, [0.3, 0.7], 4),
+        # inversion at n = 10^6, p * n = 1
+        (10 ** 6, [1e-6] * 10 + [1 - 1e-5], 3),
+        # BTPE, and inversion of 1 - p for p above 0.5
+        (1000, [0.5, 0.5], 3), (1000, [0.99, 0.01], 3), (10 ** 6, [0.6, 0.4], 2),
+        # zeros before, between and after; a category of p = 1 takes all
+        (50, [0.0, 0.2, 0.0, 0.8, 0.0], 4), (50, [0.0, 1.0, 0.0], 2),
+        # p[1] / (1 - p[0]) rounds above 1: numpy's own random_binomial
+        (40, [0.6, 0.4 + 1e-13, 0.0], 2),
+        # a single row, numpy's own random_multinomial
+        (2000, [0.25, 0.25, 0.5], 1),
+        # p * n = 0.001: of 8000 draws, about 8 count 1, where numpy's
+        # rejection bound, 10 sqrt(p n (1 - p) + 1), passes a count of 1
+        (1000, [1e-6] * 40 + [1 - 4e-5], 200)]
+    for n, p, size in examples:
+        check = example(n=n, p=p, size=size, seed=5)(check)
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e3))
+    return given(n=st.one_of(st.integers(0, 100), st.integers(0, 10 ** 6)),
+                 p=st.lists(weight, min_size=1, max_size=40).map(_probabilities),
+                 size=st.integers(0, 5), seed=st.integers(0, 2 ** 64 - 1))(check)
+
+
+def _check_multinomial_refusals():
+    """Arguments the Generator rejects are refused with nothing written or
+    drawn, and ``_draw_sums`` raises the Generator's own error for them,
+    with the kernel and without; a bad buffer raises ``ValueError`` and is
+    left as it was; a counts buffer one row short gets one row fewer."""
+    pvals = re.escape("pvals < 0, pvals > 1 or pvals contains NaNs")
+    # (freq, n, error): p is freq / n, as _draw_sums takes it
+    rejected = [([-1, -1], -2, "n < 0"),
+                ([math.nan, 2], 2, pvals),
+                ([3, -1], 2, pvals),
+                ([2, 2, 0], 3, re.escape("sum(pvals[:-1]) > 1.0")),
+                # 1e-10 over the sum, past numpy's tolerance of 1e-12
+                ([0.5, 0.5 + 1e-10, 0.0], 1, re.escape("sum(pvals[:-1]) > 1.0"))]
+    for freq, n, error in rejected:
+        freq = np.array(freq, float)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        counts = _counts_block(2, len(freq), fill=7)
+        assert _compiled_multinomial(n, freq / n, counts, rng) is True
+        assert (counts == 7).all() and rng.bit_generator.state == state
+        for draws in (contextlib.nullcontext(), _python_draws()):
+            with draws, pytest.raises(ValueError, match=error):
+                stats._draw_sums(np.eye(len(freq)), freq, n, 5, rng)
+            assert rng.bit_generator.state == state
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    assert _compiled_multinomial(5, np.array([]), _counts_block(2, 1, fill=7), rng) is True
+    p = np.array([0.25, 0.75])
+    readonly = np.full((3, 2), 7, np.int64)
+    readonly.flags.writeable = False
+    wide = np.full((3, 4), 7, np.int64)
+    bad_counts = [np.full((3, 2), 7.0), np.full((3, 2), 7, np.int32),
+                  np.full((3, 2), 7, np.uint64), readonly, wide[:, ::2],
+                  # one count short of three rows
+                  _counts_block(5, 1, fill=7)]
+    for counts in bad_counts:
+        with pytest.raises(ValueError, match="needs counts as writeable C-contiguous int64"):
+            _compiled_multinomial(5, p, counts, rng)
+        assert (counts == 7).all() and (wide == 7).all()
+    for bad_p in (p.astype(np.float32), np.array([0.25, 0, 0.75, 0])[::2]):
+        counts = _counts_block(3, 2, fill=7)
+        with pytest.raises(ValueError, match="needs p as C-contiguous float64"):
+            _compiled_multinomial(5, bad_p, counts, rng)
+        assert (counts == 7).all()
+    assert rng.bit_generator.state == state
+    # a block one row short of three rows is two rows, drawn as numpy draws two
+    _check_multinomial(5, p, 2, 1)
+
+
+class TestCompiledMultinomial:
+    """The kernel's ``multinomial``, which ``stats._draw_sums`` calls for
+    every block, against ``rng.multinomial``."""
+
+    @PROPERTY
+    @RANDOM_MULTINOMIALS
+    def test_equals_numpy(self, n, p, size, seed):
+        _require_kernel()
+        _check_multinomial(n, p, size, seed)
+
+    def test_refusals(self):
+        _require_kernel()
+        _check_multinomial_refusals()
+
+    @pytest.mark.parametrize("name, shots", [("fig4ab", 2000), ("fig4e", 10_000)])
+    def test_preset_bootstraps(self, monkeypatch, name, shots):
+        # every bootstrap of the preset's analysis, as the benchmark runs it:
+        # the kernel draws each block, its counts equal numpy's, and the
+        # sums equal those drawn by rng.multinomial
+        kernel = _require_kernel()
+        preset = presets.get_preset(name)
+        runs = runner.run_preset_points(runner.point_configs(preset, shots, 1))
+        bootstraps, calls = [], []
+        draw_sums = stats._draw_sums
+
+        def recording(rows, freq, n, resamples, rng):
+            bootstraps.append((rows, freq, n, resamples))
+            return draw_sums(rows, freq, n, resamples, rng)
+
+        class Counting:
+            """The kernel, counting its multinomial calls."""
+            def multinomial(self, *args):
+                calls.append(args)
+                return kernel.multinomial(*args)
+
+        monkeypatch.setattr(stats, "_draw_sums", recording)
+        monkeypatch.setattr(_kernel, "_window_kernel", lambda: Counting())
+        runner.analyze_preset(preset, runs)
+        monkeypatch.undo()
+        assert len(bootstraps) == {"fig4ab": 16, "fig4e": 22}[name]
+        blocks = [-(-resamples // max(1, stats._BOOTSTRAP_BLOCK // len(rows)))
+                  for rows, _, _, resamples in bootstraps]
+        assert len(calls) == sum(blocks)
+        for i, (rows, freq, n, resamples) in enumerate(bootstraps):
+            block = max(1, stats._BOOTSTRAP_BLOCK // len(rows))
+            _check_multinomial(n, freq / n, min(block, resamples), i)
+            sums = draw_sums(rows, freq, n, resamples, np.random.default_rng(i))
+            with _python_draws():
+                assert np.array_equal(
+                    draw_sums(rows, freq, n, resamples, np.random.default_rng(i)), sums)
+
+    @PROPERTY
+    @given(freq=st.lists(st.integers(1, 50), min_size=1, max_size=30),
+           resamples=st.integers(1, 300), block=st.integers(1, 64), seed=st.integers(0, 99))
+    def test_draw_sums_equal_without_the_kernel(self, freq, resamples, block, seed):
+        # uneven blocks of any size, drawn by the kernel and by rng.multinomial
+        _require_kernel()
+        freq = np.array(freq)
+        rows = np.arange(3 * len(freq), dtype=float).reshape(-1, 3)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(stats, "_BOOTSTRAP_BLOCK", block * len(freq)):
+            sums = stats._draw_sums(rows, freq, int(freq.sum()), resamples, ours)
+            with _python_draws():
+                expected = stats._draw_sums(rows, freq, int(freq.sum()), resamples, numpys)
+        assert np.array_equal(sums, expected)
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def _void_unique(cols):

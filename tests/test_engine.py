@@ -561,6 +561,12 @@ class TestWindowKernel:
         assert sanitized_child.returncode == 0, sanitized_child.stderr[-4000:]
         assert "random windows checked" in sanitized_child.stdout.splitlines()
 
+    def test_sanitized_multinomial_equals_numpy(self, sanitized_child):
+        # test_bootstrap's refusals and random multinomial draws, in the
+        # child built under both sanitizers
+        assert sanitized_child.returncode == 0, sanitized_child.stderr[-4000:]
+        assert "multinomial draws checked" in sanitized_child.stdout.splitlines()
+
     @pytest.mark.parametrize("etas, source, pumping, match", [
         ([2.0], SourceDrive(1e19), NO_PUMP, "lam value too large"),
         ([math.nan, 1.0], SourceDrive(50.0), NO_PUMP, "p <= 0, p > 1"),
@@ -1265,4 +1271,8 @@ t._check_entry_point_refusals()
 print("refusals checked", flush=True)
 t.settings(max_examples=40, deadline=None)(t.RANDOM_WINDOWS(t._check_random_windows))()
 print("random windows checked", flush=True)
+import test_bootstrap as b
+b._check_multinomial_refusals()
+t.settings(max_examples=40, deadline=None)(b.RANDOM_MULTINOMIALS(b._check_multinomial))()
+print("multinomial draws checked", flush=True)
 """

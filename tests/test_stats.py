@@ -197,6 +197,13 @@ class TestHistogram:
         p1, err = stats.single_excitation_fraction(fig3_like)
         assert abs(p1 - 0.7707) <= 4 * err + 0.005
 
+    @pytest.mark.parametrize("stored, fraction", [(1, 1.0), (2, 0.0)])
+    def test_single_excitation_fraction_of_one_kind(self, stored, fraction):
+        # every shot with an excitation stored the same number: p is 0 or
+        # 1 and its standard error sqrt(p (1 - p) / n) is exactly 0
+        recs = [record(n_stored=stored if i % 3 else 0, idx=i) for i in range(30)]
+        assert stats.single_excitation_fraction(recs) == (fraction, 0.0)
+
 
 class TestGain:
     def test_perfect_blocking_limit(self):
