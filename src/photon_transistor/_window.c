@@ -179,7 +179,7 @@ struct __attribute__((packed)) shot_row {
 
 /* ---- the source window ---- */
 
-/* T and S on resonance, as engine._transmission_and_scatter gives them */
+/* T and S on resonance, as engine._window_probabilities gives them */
 static void resonant_probabilities(double total, double *t, double *s)
 {
     double onep = 1.0 + total;

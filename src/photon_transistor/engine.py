@@ -284,16 +284,24 @@ def sample_gate_storage(gate: GatePulse, coop: CooperativityModel,
     return SpinWave(n_exc=n_exc, etas=etas)
 
 
-def _transmission_and_scatter(delta: float, total_eta: float,
-                              cavity: CavityParams, atoms: AtomParams) -> tuple[float, float]:
-    """Per-photon transmission and free-space scattering probabilities at
-    probe detuning delta, for blockers resonant with the cavity (their
-    atomic detuning equals delta).  On resonance these are the closed
-    forms extinction() and free_space_scatter_prob(); off resonance the
-    scattering scales with the atomic excitation |L|^2 times the
-    intracavity buildup, so T + S <= 1 always holds.  S is capped at 1 - T
-    so that this holds after rounding too: with eta below about 1e-8 the
-    reflection is under an ulp of 1, and uncapped T / (1 - S) exceeded 1."""
+def _window_probabilities(delta: float, total_eta: float, cavity: CavityParams,
+                          atoms: AtomParams) -> tuple[float, float]:
+    """Per-photon transmission and free-space scattering probabilities, T
+    and S, at probe detuning delta of a window whose blockers add up to
+    ``total_eta``, for blockers resonant with the cavity (their atomic
+    detuning equals delta).  At or below ``ETA_FLOOR`` they are the empty
+    cavity's T (1 on resonance, where it is not drawn) and S = 0; the guard
+    is written so that a NaN total takes the blocked branch.  On resonance
+    these are the closed forms extinction() and free_space_scatter_prob();
+    off resonance the scattering scales with the atomic excitation |L|^2
+    times the intracavity buildup, so T + S <= 1 always holds.  S is capped
+    at 1 - T so that this holds after rounding too: with eta below about
+    1e-8 the reflection is under an ulp of 1, and uncapped T / (1 - S)
+    exceeded 1."""
+    if total_eta <= ETA_FLOOR:
+        if delta == 0.0:
+            return 1.0, 0.0
+        return qed.cavity_transmission_spectrum(delta, (), cavity, atoms), 0.0
     if delta == 0.0:
         t = qed.extinction(total_eta)
         s = 2.0 * total_eta * t
@@ -303,19 +311,6 @@ def _transmission_and_scatter(delta: float, total_eta: float,
         lor2 = 1.0 / (1.0 + x * x)
         s = 2.0 * total_eta * lor2 * t
     return t, (s if s < 1.0 - t else 1.0 - t)
-
-
-def _window_probabilities(delta: float, total_eta: float, cavity: CavityParams,
-                          atoms: AtomParams) -> tuple[float, float]:
-    """T and S of a window whose blockers add up to ``total_eta``: those of
-    ``_transmission_and_scatter``, or, at or below ``ETA_FLOOR``, the
-    empty cavity's T (1 on resonance, where it is not drawn) and S = 0.
-    The guard is written so that a NaN total takes the first branch."""
-    if not total_eta <= ETA_FLOOR:
-        return _transmission_and_scatter(delta, total_eta, cavity, atoms)
-    if delta == 0.0:
-        return 1.0, 0.0
-    return qed.cavity_transmission_spectrum(delta, (), cavity, atoms), 0.0
 
 
 def evolve_source_window(spin: SpinWave, source: SourceDrive, pumping: PumpingModel,
@@ -503,7 +498,7 @@ def _shot_scratch(config: RunConfig, first: int, n: int) -> tuple:
     the Python engine's expressions: the decay survival probability, the
     dark-count means and, for a detuned window, the empty-cavity T, the
     complex denominators of ``qed.cavity_transmission_spectrum`` and the
-    Lorentzian of ``_transmission_and_scatter``."""
+    Lorentzian of ``_window_probabilities``."""
     kernel = _kernel._window_kernel()
     if kernel is None:
         bitgen = np.random.Philox(key=0)  # rekeyed for every shot

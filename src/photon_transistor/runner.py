@@ -82,8 +82,9 @@ def _analyze_fig2(points, runs):
             summary[f"contrast_ng_{ng}"] = _entry(contrast, sigma, sigma)
             summary[f"contrast_bound_ng_{ng}"] = _entry(bound)
             summary[f"contrast_bound_ratio_ng_{ng}"] = _entry(contrast / bound)
+            excess = contrast - bound  # +-inf, or NaN at the bound, when sigma is 0
             summary[f"contrast_excess_sigmas_ng_{ng}"] = _entry(
-                (contrast - bound) / sigma if sigma > 0 else 0.0)
+                excess / sigma if sigma > 0 else excess * math.inf)
     margin = min(a - b for a, b in zip(resonant_means, resonant_means[1:]))
     summary["spectra_nested_margin"] = _entry(margin)
     header = ["n_g_stored", "detuning_mhz", "mean_transmission", "sem"]
@@ -96,8 +97,7 @@ def _analyze_fig3(points, runs):
     col = hist.column(0.0)
     resonant = groups[0.0]
     p1, p1_err = stats.single_excitation_fraction(resonant)
-    factor = hist.extinction_factor[col]
-    f_low, f_high, _ = stats.extinction_factor_errors(resonant, factor)
+    factor, f_low, f_high, _ = stats.extinction_factor_errors(resonant)
     spectrum = stats.average_spectrum(groups, 1.0)  # unnormalized mean counts
     rows = list(zip(spectrum.detunings, spectrum.mean_transmission, spectrum.sem,
                     hist.high_mean, hist.low_mean, hist.extinction_factor))

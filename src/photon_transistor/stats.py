@@ -15,16 +15,17 @@ rows, in the order of their bytes.  The compiled kernel's
 count for count and from the same generator state as
 ``rng.multinomial``, with each category's set-up computed once per block
 of resamples instead of once per resample; without a compiler
-``rng.multinomial`` draws them.  Every bootstrap finds its rows by
-``_counted_rows`` from the integer fields its columns are built of:
-shot counts and 0/1 masks, and for ``g2_cross`` each channel's code
-among its distinct float64 bit patterns.  Their distinct combinations are
-counted by one int64 key per shot, and only their d rows are built and
-sorted, so for n shots and k columns the working memory is O(n) int64 plus
-d x k rows and a count block of at most max(``_BOOTSTRAP_BLOCK``, d)
-counts, whatever the number of resamples.  Replicates are ratios of the
-resampled sums (``gain`` and ``retrieval_curve`` take the same ratios of
-the full-sample sums as point estimate).  ``retrieval_curve`` fits the
+``rng.multinomial`` draws them.  Every bootstrap is one
+``_resampled_sums``, which finds its rows by ``_counted_rows`` from the
+integer fields its columns are built of: shot counts and 0/1 masks, and
+for ``g2_cross`` each channel's code among its distinct float64 bit
+patterns.  Their distinct combinations are counted by one int64 key per
+shot, and only their d rows are built and sorted, so for n shots and k
+columns the working memory is O(n) int64 plus d x k rows and a count
+block of at most max(``_BOOTSTRAP_BLOCK``, d) counts, whatever the number
+of resamples.  Replicates are ratios of the resampled sums, and every
+point estimate but ``g2_cross``'s is the same ratio of the full-sample
+sums, ``_resampled_sums``'s row 0.  ``retrieval_curve`` fits the
 decays of all its replicates in one batched Levenberg-Marquardt solve
 (``_fit_decays``) started at the point fit; the point fit,
 ``fit_exponential``, is the same solver on one row.  An undefined
@@ -122,68 +123,48 @@ def _distinct_rows(cols: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarr
     return cols[order[starts]], freq
 
 
-def _field_values(fields) -> tuple[list[np.ndarray], np.ndarray]:
-    """The distinct combinations of the integer or bool shot ``fields``
-    (arrays of n each), one array of d values per field in its own dtype,
-    in the order of their keys, and how often each combination occurs.
-    Each field minus its minimum is a digit of one int64 mixed-radix key.
-    Before the radix would pass ``_KEY_LIMIT`` the key is replaced by its
-    dense ``np.unique`` codes (and a field wider than any key by its own
-    codes).  Keys are counted by ``np.bincount`` while the radix is at
-    most 2n and by ``np.unique`` above that, where the count array would
-    be mostly empty and slower to scan than n keys are to sort."""
-    n = len(fields[0])
-    key, radix = np.zeros(n, np.int64), 1
-    prefix = []  # the fields in the key's dense codes, indexed by code
-    digits = []  # (offset or distinct values, stride, span, dtype) of later fields
-
-    def decode(keys):
-        return [*(values[keys % len(values)] for values in prefix),
-                *(lo[keys // stride % span] if isinstance(lo, np.ndarray)
-                  else (keys // stride % span + lo).astype(dtype)
-                  for lo, stride, span, dtype in digits)]
-
-    for field in fields:
-        lo = int(field.min())
-        span = int(field.max()) - lo + 1
-        if radix * span > _KEY_LIMIT:
-            present, key = np.unique(key, return_inverse=True)
-            prefix, digits = decode(present), []
-            radix = len(present)
-        if radix * span > _KEY_LIMIT:
-            lo, digit = np.unique(field, return_inverse=True)
-            span = len(lo)
-        else:
-            digit = field.astype(np.int64) - lo
-        key += digit * radix
-        digits.append((lo, radix, span, field.dtype))
-        radix *= span
-    if radix <= 2 * n:
-        counts = np.bincount(key)
-        present = np.flatnonzero(counts)
-        freq = counts[present]
-    else:
-        present, freq = np.unique(key, return_counts=True)
-    return decode(present), freq
-
-
-def _counted_sums(columns, *fields) -> np.ndarray:
-    """``columns(*fields).sum(axis=0)`` from ``_counted_rows``."""
-    rows, freq = _counted_rows(columns, *fields)
-    return freq @ rows
-
-
 def _counted_rows(columns, *fields) -> tuple[np.ndarray, np.ndarray]:
     """``_distinct_rows(columns(*fields))`` without building or sorting its
     n rows: ``columns`` builds one float row per element of the integer or
     bool shot ``fields``, and is called on their d distinct combinations
     only, whose rows are then merged by ``_distinct_rows`` weighted by how
-    often each combination occurs.  The point sums are ``freq @ rows``:
-    equal to ``columns(*fields).sum(axis=0)`` byte for byte while every
-    column is integer-valued and every sum is below 2^53, which shot
-    counts are, so every float operation is exact."""
-    values, freq = _field_values(fields)
+    often each combination occurs.  Each field minus its minimum is a digit
+    of one int64 mixed-radix key, counted by ``np.bincount`` while the
+    radix is at most 2n and by ``np.unique`` above that, where the count
+    array would be mostly empty and slower to scan than n keys are to
+    sort.  Past ``_KEY_LIMIT`` the fields are counted as rows instead.  The
+    point sums are ``freq @ rows``: equal to ``columns(*fields).sum(axis=0)``
+    byte for byte while every column is integer-valued and every sum is
+    below 2^53, which shot counts are, so every float operation is exact."""
+    los = [int(field.min()) for field in fields]
+    spans = [int(field.max()) - lo + 1 for field, lo in zip(fields, los)]
+    if math.prod(spans) > _KEY_LIMIT:
+        combinations, freq = np.unique(np.column_stack(fields), axis=0, return_counts=True)
+        digits = combinations.T
+    else:
+        key, radix, strides = np.zeros(len(fields[0]), np.int64), 1, []
+        for field, lo, span in zip(fields, los, spans):
+            key += (field.astype(np.int64) - lo) * radix
+            strides.append(radix)
+            radix *= span
+        if radix <= 2 * len(key):
+            counts = np.bincount(key)
+            present = np.flatnonzero(counts)
+            freq = counts[present]
+        else:
+            present, freq = np.unique(key, return_counts=True)
+        digits = [present // stride % span + lo
+                  for lo, span, stride in zip(los, spans, strides)]
+    values = [digit.astype(field.dtype) for digit, field in zip(digits, fields)]
     return _distinct_rows(columns(*values), freq)
+
+
+def _resampled_sums(columns, fields, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """The column sums of ``columns(*fields)`` over the full sample (row 0)
+    and over ``resamples`` bootstrap resamples of its shots (the rows
+    after it), from the rows that ``_counted_rows`` finds."""
+    rows, freq = _counted_rows(columns, *fields)
+    return np.vstack([freq @ rows, _draw_sums(rows, freq, len(fields[0]), resamples, rng)])
 
 
 def _percentile_errors(replicates, centers) -> tuple[list[tuple[float, float]], int]:
@@ -367,31 +348,34 @@ def build_histogram(groups: Mapping[float, Sequence[ShotRecord]],
         hist = np.bincount(clipped, minlength=bins.size).astype(float)
         rates[i] = hist / hist.sum()
         hi = table.n_stored == 0
-        hm, lm, factor = _extinction(_counted_sums(_component_sums, hi, counts))
+        rows, freq = _counted_rows(_component_sums, hi, counts)
+        hm, lm, factor = _extinction(freq @ rows)
         peaks = [np.argmax(np.bincount(clipped[sel], minlength=bins.size))
                  if sel.any() else math.nan for sel in (hi, ~hi)]
         thr = _valley_threshold(rates[i])
-        thr_factor = _extinction(_counted_sums(_component_sums, counts > thr, counts))[2]
+        rows, freq = _counted_rows(_component_sums, counts > thr, counts)
+        thr_factor = _extinction(freq @ rows)[2]
         columns.append((hm, lm, *peaks, factor, thr, thr_factor))
     # one tuple of floats per field, high_mean to threshold_extinction_factor
     return TransmissionHistogram(tuple(detunings), tuple(int(b) for b in bins), rates,
                                  *(tuple(map(float, col)) for col in zip(*columns)))
 
 
-def extinction_factor_errors(records: Sequence[ShotRecord], factor: float,
-                             resamples: int = 400,
-                             seed: int = 11) -> tuple[float, float, int]:
-    """Bootstrap percentile errors of ``factor``, the ground-truth extinction
-    factor of ``records``, as (err_low, err_high, skipped).  Replicates with
-    an empty component or a dark low component are undefined and skipped."""
+def extinction_factor_errors(records: Sequence[ShotRecord], resamples: int = 400,
+                             seed: int = 11) -> tuple[float, float, float, int]:
+    """The ground-truth extinction factor of ``records``, ``build_histogram``'s,
+    with its bootstrap percentile errors, as (factor, err_low, err_high,
+    skipped).  Replicates with an empty component or a dark low component
+    are undefined and skipped."""
     table = shot_table(records)
     if len(table) == 0:
         raise ValueError("extinction_factor_errors got no shots")
-    rows, freq = _counted_rows(_component_sums, table.n_stored == 0, table.detected_source)
-    ratios = _extinction(_draw_sums(rows, freq, len(table), resamples,
-                                    np.random.default_rng(seed)))[2]
-    [errors], skipped = _percentile_errors(ratios[:, None], [factor])
-    return (*errors, skipped)
+    ratios = _extinction(_resampled_sums(_component_sums,
+                                         (table.n_stored == 0, table.detected_source),
+                                         resamples, np.random.default_rng(seed)))[2]
+    factor = float(ratios[0])
+    [errors], skipped = _percentile_errors(ratios[1:, None], [factor])
+    return (factor, *errors, skipped)
 
 
 def single_excitation_fraction(records: Sequence[ShotRecord]) -> tuple[float, float]:
@@ -449,12 +433,11 @@ def gain(records: Sequence[ShotRecord], labels: str = "truth",
     if hi.all() or not hi.any():
         raise ValueError("both histogram components must be populated")
 
-    rows, freq = _counted_rows(_component_sums, hi, table.source_transmitted_intracavity,
-                               table.source_transmitted_outside)
     # row 0: the full sample, for the point estimate; then the replicates
-    high, low = _component_means(np.vstack(
-        [freq @ rows, _draw_sums(rows, freq, len(table), resamples,
-                                 np.random.default_rng(seed))]))
+    high, low = _component_means(_resampled_sums(
+        _component_sums, (hi, table.source_transmitted_intracavity,
+                          table.source_transmitted_outside),
+        resamples, np.random.default_rng(seed)))
     boots = high - low
     g_in, g_out = boots[0].tolist()
     ((el, eh), (ol, oh)), fallbacks = _percentile_errors(boots[1:], (g_in, g_out))
@@ -517,11 +500,9 @@ def retrieval_curve(point_records: Sequence[Sequence[ShotRecord]],
             raise ValueError(f"point {i} has no zero-excitation shots to measure strength")
         if not sel.any():
             raise ValueError(f"point {i} has no shot in its retrieval selection")
-        rows, freq = _counted_rows(_retrieval_columns, empty,
-                                   table.source_transmitted_intracavity,
-                                   table.source_transmitted_outside, sel, table.retrieved)
-        draws = _draw_sums(rows, freq, len(table), resamples, rng)
-        sums.append(np.vstack([freq @ rows, draws]))
+        sums.append(_resampled_sums(_retrieval_columns, (
+            empty, table.source_transmitted_intracavity, table.source_transmitted_outside,
+            sel, table.retrieved), resamples, rng))
     # each (1 + resamples, points), row 0 the full sample as in gain
     n_e, in_e, out_e, n_sel, r_sel = np.moveaxis(np.stack(sums, axis=1), -1, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -596,9 +577,10 @@ def g2_cross(gate_counts, source_counts, backgrounds: tuple[float, float] = (0.0
     # each channel coded by its float64 bits, which keep -0.0 apart as bytes do
     (gv, gi), (sv, si) = (np.unique(x.view(np.int64), return_inverse=True) for x in (g, s))
     gv, sv = gv.view(float), sv.view(float)
-    counted = _counted_rows(lambda i, j: np.column_stack([gv[i], sv[j], gv[i] * sv[j]]), gi, si)
-    bg, bs, bgs = (_draw_sums(*counted, g.size, resamples, np.random.default_rng(seed))
-                   / g.size).T
+    sums = _resampled_sums(lambda i, j: np.column_stack([gv[i], sv[j], gv[i] * sv[j]]),
+                           (gi, si), resamples, np.random.default_rng(seed))
+    # replicates only: the point estimate keeps np.mean's rounding of non-integer counts
+    bg, bs, bgs = (sums[1:] / g.size).T
     with np.errstate(divide="ignore", invalid="ignore"):
         boots = np.column_stack(estimate(bg, bs, bgs))
     # a replicate failing the point estimate's conditions is undefined

@@ -124,7 +124,7 @@ class TestBootstrapSums:
     def test_no_shot_is_refused(self, records):
         for empty in ([], records[:0]):
             with pytest.raises(ValueError, match="extinction_factor_errors got no shots"):
-                stats.extinction_factor_errors(empty, 1.0)
+                stats.extinction_factor_errors(empty)
 
     def test_empty_component_frequency(self):
         # 2 of 40 shots in one component: a resample misses both with
@@ -493,23 +493,21 @@ def test_g2_cross_draws_over_the_sorted_rows(channels):
     ([np.arange(50) % 2 == 0, np.arange(50) % 10], {"bincount"}),
     # radix 2 * 10^6 for 50 shots: the keys are sorted
     ([np.arange(50) % 2 == 0, np.arange(50) * 20_000], {"unique"}),
-    # spans of 2 and three of 2^32 + 1: the key is re-densified before each
-    # of the last two fields
+    # spans of 2 and three of 2^32 + 1, whose product passes 2^62: the
+    # fields are counted as rows
     ([np.arange(6) % 2 == 1, *(np.array([-2 ** 31, 2 ** 31, 0, 7, -2 ** 31, 2 ** 31]) * s
                                for s in (1, -1, 1))],
-     {"unique", "re-densify"}),
-    # a span of 2^63 after the mask's 2: the key is re-densified, the field
-    # still passes 2^62 and is keyed by its own codes, radix 2 * 3
+     {"rows"}),
+    # a span of 2^63 after the mask's 2, wider than any key: counted as rows
     ([np.array([True, False, True]), np.array([-2 ** 62, 2 ** 62, 1])],
-     {"re-densify", "own codes", "bincount"})],
+     {"rows"})],
     ids=["bincount", "unique", "re-densify", "own-codes"])
 def test_key_branches(monkeypatch, fields, counted_by):
     calls = []
     unique, bincount = np.unique, np.bincount
 
     def spy_unique(values, **kwargs):
-        calls.append("unique" if "return_counts" in kwargs else
-                     "own codes" if any(values is f for f in fields) else "re-densify")
+        calls.append("rows" if "axis" in kwargs else "unique")
         return unique(values, **kwargs)
 
     def spy_bincount(values):
@@ -523,7 +521,7 @@ def test_key_branches(monkeypatch, fields, counted_by):
     assert set(calls) == counted_by
     ref_rows, ref_freq, ref_sums = _sorted_columns(stats._component_sums, *fields)
     assert rows.tobytes() == ref_rows.tobytes() and freq.tolist() == ref_freq.tolist()
-    if "own codes" not in counted_by:  # 2^62 sums are not exact
+    if np.abs(np.column_stack(fields)).max() < 2 ** 53:  # 2^62 sums are not exact
         assert (freq @ rows).tobytes() == ref_sums.tobytes()
 
 
@@ -546,7 +544,7 @@ def test_estimators_sort_distinct_rows_only(monkeypatch, records, decay_points):
     stats.gain(records, resamples=5)
     stats.gain(records, labels="threshold", threshold=3.5, resamples=5)
     hist = stats.build_histogram({0.0: records})
-    stats.extinction_factor_errors(records, hist.extinction_factor[0], resamples=5)
+    stats.extinction_factor_errors(records, resamples=5)
     assert sorted_rows == [combinations(hi, intra, outside),
                            combinations(counts > 3.5, intra, outside),
                            combinations(hi, counts),
@@ -612,6 +610,17 @@ class TestPointEstimatesPinned:
         hist = stats.build_histogram({0.0: records})
         assert hist.extinction_factor[0] == 10.760295881647341
 
+    def test_extinction_factor_errors(self, records):
+        # the factor is the histogram's, byte for byte; errors and skip counts pinned
+        factor = stats.build_histogram({0.0: records}).extinction_factor[0]
+        estimate = stats.extinction_factor_errors(records)
+        assert np.float64(estimate[0]).tobytes() == np.float64(factor).tobytes()
+        assert estimate[1:] == (1.8568399748788007, 3.006929592350028, 0)
+        assert stats.extinction_factor_errors(records, resamples=50, seed=3)[1:] == (
+            2.2429700963571246, 1.892749304812801, 0)
+        sparse = shots(TestFallbacks.N_STORED, [10, 12] + [1] * 38)
+        assert stats.extinction_factor_errors(sparse) == (11.0, 1.0, 1.0, 63)
+
 
 def test_record_list_equals_table(records, decay_points):
     """Estimators give the same results for a list of ShotRecords."""
@@ -620,8 +629,7 @@ def test_record_list_equals_table(records, decay_points):
         stats.gain(records, resamples=50, seed=2)
     factor = stats.build_histogram({0.0: rows}).extinction_factor[0]
     assert stats.build_histogram({0.0: records}).extinction_factor[0] == factor
-    assert stats.extinction_factor_errors(rows, factor) == \
-        stats.extinction_factor_errors(records, factor)
+    assert stats.extinction_factor_errors(rows) == stats.extinction_factor_errors(records)
     lists = [[ShotRecord(*r) for r in p.tolist()] for p in decay_points]
     assert stats.retrieval_curve(lists, resamples=10, seed=2) == \
         stats.retrieval_curve(decay_points, resamples=10, seed=2)
@@ -636,9 +644,8 @@ class TestErrorBars:
         g, s = records.detected_gate, records.detected_source
         assert stats.g2_cross(g, s, resamples=100, seed=5) == \
             stats.g2_cross(g, s, resamples=100, seed=5)
-        factor = stats.build_histogram({0.0: records}).extinction_factor[0]
-        assert stats.extinction_factor_errors(records, factor, seed=5) == \
-            stats.extinction_factor_errors(records, factor, seed=5)
+        assert stats.extinction_factor_errors(records, seed=5) == \
+            stats.extinction_factor_errors(records, seed=5)
 
     def test_error_bars_bracket_the_point(self, records):
         est = stats.gain(records, resamples=400, seed=6)
@@ -674,10 +681,10 @@ class TestFallbacks:
 
     def test_extinction_factor(self, records):
         sparse = shots(self.N_STORED, [10, 12] + [1] * 38)
-        err_low, err_high, skipped = stats.extinction_factor_errors(sparse, 11.0)
-        assert skipped > 0
+        factor, err_low, err_high, skipped = stats.extinction_factor_errors(sparse)
+        assert factor == 11.0 and skipped > 0
         assert err_low >= 0 and err_high >= 0
-        assert stats.extinction_factor_errors(records, 10.76)[2] == 0
+        assert stats.extinction_factor_errors(records)[3] == 0
 
 
 class TestUndefinedReplicates:
@@ -690,7 +697,7 @@ class TestUndefinedReplicates:
         assert stats._percentile_errors(nan, (1.0, 2.0)) == ([(0.0, 0.0)] * 2, 7)
         # a dark low component: every replicate's ratio is x/0
         dark = shots(TestFallbacks.N_STORED, [10, 12] + [0] * 38)
-        assert stats.extinction_factor_errors(dark, 11.0, resamples=50) == (0.0, 0.0, 50)
+        assert stats.extinction_factor_errors(dark, resamples=50) == (math.inf, 0.0, 0.0, 50)
 
     def test_gain_interval_from_defined_replicates_only(self):
         # 2 high-component shots among 20: about a tenth of the replicates

@@ -27,7 +27,7 @@ from photon_transistor import _kernel, engine, presets, runner
 from photon_transistor.config import default_config
 from photon_transistor.engine import (SHOT_DTYPE, DetectionChain, GatePulse,
                                       PumpingModel, RunConfig, SourceDrive, SpinWave,
-                                      TimingSequence, _transmission_and_scatter,
+                                      TimingSequence, _window_probabilities,
                                       apply_spin_decay, bound_workers, detect,
                                       evolve_source_window, retrieve_gate,
                                       run_experiment, run_shot,
@@ -161,7 +161,7 @@ class TestGateStorage:
 @example(0.0, 1e-8)
 @example(1e-3, 1e-8)
 def test_transmission_scatter_reflection_sum_to_one(delta, eta):
-    t, s = _transmission_and_scatter(delta, eta, CAVITY, ATOMS)
+    t, s = _window_probabilities(delta, eta, CAVITY, ATOMS)
     r = t * abs(2j * delta / CAVITY.kappa + eta / (1 + 2j * delta / ATOMS.gamma)) ** 2
     assert abs(t + s + r - 1.0) <= 1e-12
     assert t + s <= 1.0
@@ -1037,8 +1037,7 @@ def _real_window_probabilities(delta, total, kappa, gamma, eta_floor):
 
 def _complex_window_probabilities(delta, total, kappa, gamma, eta_floor):
     """``engine._window_probabilities`` as written with Python's complex
-    numbers (``_transmission_and_scatter`` over
-    ``qed.cavity_transmission_spectrum``), without numpy."""
+    numbers (over ``qed.cavity_transmission_spectrum``), without numpy."""
     denom = 1.0 + 2.0j * delta / kappa
     if total <= eta_floor:
         return (1.0, 0.0) if delta == 0.0 else (

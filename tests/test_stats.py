@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from photon_transistor import stats
+from photon_transistor import presets, runner, stats
 from photon_transistor.engine import (DetectionChain, GatePulse, PumpingModel,
                                       RunConfig, ShotRecord, SourceDrive,
                                       TimingSequence, run_experiment,
@@ -121,6 +121,20 @@ class TestSwitchingContrast:
         b = [record(detected_source=0, idx=i) for i in range(5)]
         with pytest.raises(ValueError):
             stats.switching_contrast(a, b)
+
+    @pytest.mark.parametrize("gated_count, excess", [(0, math.inf), (5, -math.inf)])
+    def test_zero_sigma_fails_the_excess_band(self, gated_count, excess):
+        # 50 shots of constant counts at every fig2 point: the contrast's
+        # sigma is 0, so its excess over the bound is infinite, not 0
+        preset = presets.get_preset("fig2")
+        runs = [[record(detected_source=5 if p.meta["n_g_stored"] == 0.0 else gated_count,
+                        idx=i) for i in range(50)] for p in preset.points]
+        _, _, summary, _ = runner.analyze_preset(preset, runs)
+        report = runner.compare_report(summary, runner.reference_for("fig2"))
+        for ng in (0.4, 1.4, 2.9):
+            assert summary[f"contrast_excess_sigmas_ng_{ng}"]["value"] == excess
+            assert f"FAIL contrast_excess_sigmas_ng_{ng}: {excess} in [-99, 3]" in report.lines
+        assert not report.passed
 
 
 @pytest.fixture(scope="module")
